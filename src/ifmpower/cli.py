@@ -78,25 +78,27 @@ def parse_matrix(text):
 
 def format_matrix(M, display=None):
     """Serialize an Ifm as a JSON document; full round-trip precision by
-    default, `display` decimals for paper-style rounding."""
-
-    def num(x):
-        return round(x, display) if display is not None else float(f"{x:.17g}")
-
+    default (json writes the shortest repr that reads back the same
+    float64), `display` decimals for paper-style rounding."""
+    mu, nu = M.mu.tolist(), M.nu.tolist()
+    if display is not None:
+        mu = [[round(x, display) for x in row] for row in mu]
+        nu = [[round(x, display) for x in row] for row in nu]
     doc = {
         "rows": M.rows,
         "cols": M.cols,
         "entries": [
-            [{"mu": num(float(M.mu[i, j])), "nu": num(float(M.nu[i, j]))}
-             for j in range(M.cols)]
-            for i in range(M.rows)
+            [{"mu": m, "nu": v} for m, v in zip(mu_row, nu_row)]
+            for mu_row, nu_row in zip(mu, nu)
         ],
     }
+    # The row lists are not needed while json.dumps builds its chunks.
+    del mu, nu
     return json.dumps(doc, indent=1)
 
 
 def _load_matrix(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_matrix(fh.read())
 
 
@@ -308,7 +310,7 @@ def main(argv=None):
     except (ZeroPError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (FileNotFoundError, IfmError, ValueError) as exc:
+    except (OSError, IfmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

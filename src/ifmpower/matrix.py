@@ -20,6 +20,10 @@ from .ifn import ComponentPair, Ifn, make_ifn
 # rather than float drift.
 SUM_VIOLATION_TOL = 1e-9
 
+# Bytes of float64 temporary per row block in compose, so that no
+# composition allocates an n^3 array.
+BLOCK_BYTES = 8 * 2**20
+
 
 @dataclass(frozen=True)
 class GeneralizedMean:
@@ -89,8 +93,9 @@ class Ifm:
             )
         if mu.size == 0:
             raise DimensionMismatchError("matrix must be non-empty")
-        if (mu < 0).any() or (mu > 1).any() or (nu < 0).any() or (nu > 1).any():
-            raise ValueError("all components must lie in [0, 1]")
+        # Written so that NaN fails the range test.
+        if not (((mu >= 0) & (mu <= 1)).all() and ((nu >= 0) & (nu <= 1)).all()):
+            raise ValueError("all components must be finite and lie in [0, 1]")
         self.mu = mu
         self.nu = nu
         self.mu.setflags(write=False)
@@ -157,40 +162,65 @@ class Ifm:
         return f"Ifm[{self.rows}x{self.cols}: {body}]"
 
 
-def _gen_mean_grid(x, y, lam, p):
-    # x: (r, t) values folded so far, y: (t, c) fresh values; combine
-    # over the shared axis. lam in (0, 1) here.
-    with np.errstate(divide="ignore"):
-        xp = x**p
-        yp = y**p
-        comb = lam * xp[:, :, None] + (1.0 - lam) * yp[None, :, :]
-        return comb ** (1.0 / p)
+def _reduce_rows(reduce, combine, x, y):
+    """out[i, j] = reduce over t of combine(x[i, t], y[t, j]).
+
+    Rows of x are taken in blocks whose (rows, t, c) float64 temporary
+    is about BLOCK_BYTES; one block covering every row skips the loop.
+    """
+    r, t = x.shape
+    c = y.shape[1]
+    step = max(1, BLOCK_BYTES // (8 * t * c))
+    if step >= r:
+        return reduce.reduce(combine(x[:, :, None], y), axis=1)
+    out = np.empty((r, c))
+    for i in range(0, r, step):
+        reduce.reduce(combine(x[i:i + step, :, None], y), axis=1, out=out[i:i + step])
+    return out
 
 
 def compose(A, B, op):
-    """Max-mean / min-mean product of two matrices under op."""
+    """Max-mean / min-mean product of two matrices under op.
+
+    GeneralizedMean works in the s = x^p domain, where entry (i, j) is
+    (reduce over t of lam*a_it^p + (1-lam)*b_tj^p)^(1/p): a scaled
+    max-plus product for mu and min-plus for nu. s -> s^(1/p) is
+    increasing for p > 0 and decreasing for p < 0 (zeros map to +inf
+    and come back as 0), so reducing s first picks the same element as
+    reducing the means, and the final power gives the same bits.
+    """
     if A.cols != B.rows:
         raise DimensionMismatchError(
             f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}"
         )
     if isinstance(op, GeneralizedMean):
-        if op.lam == 1.0:
+        lam, p = op.lam, op.p
+        # lam in {0, 1} stays out of the s domain, where 0 * inf would
+        # give NaN for p < 0.
+        if lam == 1.0:
             # The mean collapses to the left argument; the right matrix
             # only contributes its column count.
             mu = np.repeat(A.mu.max(axis=1)[:, None], B.cols, axis=1)
             nu = np.repeat(A.nu.min(axis=1)[:, None], B.cols, axis=1)
-        elif op.lam == 0.0:
+        elif lam == 0.0:
             mu = np.repeat(B.mu.max(axis=0)[None, :], A.rows, axis=0)
             nu = np.repeat(B.nu.min(axis=0)[None, :], A.rows, axis=0)
         else:
-            mu = _gen_mean_grid(A.mu, B.mu, op.lam, op.p).max(axis=1)
-            nu = _gen_mean_grid(A.nu, B.nu, op.lam, op.p).min(axis=1)
+            hi, lo = (np.maximum, np.minimum) if p > 0 else (np.minimum, np.maximum)
+            # x^p is +inf for x = 0 (or tiny x) when p < 0; it maps back to 0.
+            with np.errstate(divide="ignore", over="ignore"):
+                mu = _reduce_rows(hi, np.add, lam * A.mu**p, (1.0 - lam) * B.mu**p)
+                nu = _reduce_rows(lo, np.add, lam * A.nu**p, (1.0 - lam) * B.nu**p)
+            mu **= 1.0 / p
+            nu **= 1.0 / p
     else:
         lam = op.lam
-        x, y = A.mu[:, :, None], B.mu[None, :, :]
-        mu = (lam * np.minimum(x, y) + (1.0 - lam) * (x + y) / 2.0).max(axis=1)
-        x, y = A.nu[:, :, None], B.nu[None, :, :]
-        nu = (lam * np.maximum(x, y) + (1.0 - lam) * (x + y) / 2.0).min(axis=1)
+
+        def mean(extreme):
+            return lambda x, y: lam * extreme(x, y) + (1.0 - lam) * (x + y) / 2.0
+
+        mu = _reduce_rows(np.maximum, mean(np.minimum), A.mu, B.mu)
+        nu = _reduce_rows(np.minimum, mean(np.maximum), A.nu, B.nu)
     # Guard against float spill just outside [0, 1].
     return Ifm(np.clip(mu, 0.0, 1.0), np.clip(nu, 0.0, 1.0))
 

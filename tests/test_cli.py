@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ifmpower import Ifm, ParseError, ValidationError, delta
-from ifmpower.cli import format_matrix, main, parse_grid, parse_matrix
+from ifmpower.cli import build_parser, format_matrix, main, parse_grid, parse_matrix
 
 A_DOC = json.dumps({
     "rows": 3, "cols": 3,
@@ -77,6 +80,32 @@ def test_parse_grid_colon_inclusive():
 
 def test_parse_grid_commas():
     assert parse_grid("0.5,1,2") == [0.5, 1.0, 2.0]
+
+
+class TestUnreadableInput:
+    def test_directory_exits_2(self, tmp_path, capsys):
+        code = main(["converge", "--input", str(tmp_path), "--p", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "A.json"
+        f.write_bytes(A_DOC.encode().replace(b"0.5", b"0.\xff5"))
+        code = main(["power", "--input", str(f), "--p", "1", "--steps", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^ifmpower .*$", readme, flags=re.MULTILINE)
+    parser = build_parser()
+    commands = set()
+    for line in lines:
+        # Bracketed flags are optional; parse them too.
+        argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        commands.add(parser.parse_args(argv).command)
+    assert commands == {"power", "converge", "analyze", "sweep", "oracle-check"}
 
 
 class TestPowerCommand:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ifmpower import (
     row_uniformity,
     step_bound,
 )
+from ifmpower.matrix import BLOCK_BYTES
 from ifmpower.oracle import brute_force_power
 
 # 3x3 instance whose powers converge to the universal matrix at
@@ -63,6 +66,50 @@ def test_from_pairs_ragged():
         Ifm.from_pairs([[(1, 0), (0, 1)], [(1, 0)]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_components_rejected(bad):
+    with pytest.raises(ValueError):
+        Ifm([[0.5, bad]], [[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        Ifm([[0.5, 0.2]], [[0.1, bad]])
+
+
+def _broadcast_compose(A, B, op):
+    """Reference: the n^3 broadcast formula, with one power mean per
+    (i, t, j) cell, that compose evaluated before the row-blocked
+    s = x^p kernel; lam in (0, 1) for GeneralizedMean."""
+    if isinstance(op, GeneralizedMean):
+        lam, p = op.lam, op.p
+
+        def grid(x, y):
+            with np.errstate(divide="ignore"):
+                xp, yp = x**p, y**p
+                return (lam * xp[:, :, None] + (1.0 - lam) * yp[None, :, :]) ** (1.0 / p)
+
+        mu = grid(A.mu, B.mu).max(axis=1)
+        nu = grid(A.nu, B.nu).min(axis=1)
+    else:
+        lam = op.lam
+        x, y = A.mu[:, :, None], B.mu[None, :, :]
+        mu = (lam * np.minimum(x, y) + (1.0 - lam) * (x + y) / 2.0).max(axis=1)
+        x, y = A.nu[:, :, None], B.nu[None, :, :]
+        nu = (lam * np.maximum(x, y) + (1.0 - lam) * (x + y) / 2.0).min(axis=1)
+    return np.clip(mu, 0.0, 1.0), np.clip(nu, 0.0, 1.0)
+
+
+def _random_ifm(n, seed):
+    # Planted exact 0 and <1, 0> entries exercise the p < 0 zero
+    # convention and ties in the reductions.
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, n))
+    v = rng.random((n, n)) * (1 - u)
+    u[rng.random((n, n)) < 0.05] = 0.0
+    v[rng.random((n, n)) < 0.05] = 0.0
+    one = rng.random((n, n)) < 0.02
+    u[one], v[one] = 1.0, 0.0
+    return Ifm(u, v)
+
+
 class TestCompose:
     @pytest.mark.parametrize("op", [GM, ConvexCombo(0.5), max_min(), harmonic()])
     def test_universal_fixed_point(self, op):
@@ -104,6 +151,29 @@ class TestCompose:
         out = compose(M, M, GeneralizedMean(0.5, 4))
         assert out.sum_violations() > 0
         assert out.mu[0, 1] + out.nu[0, 1] > 1.05
+
+    @pytest.mark.parametrize("op", [GeneralizedMean(0.6, -1), GeneralizedMean(0.9, 0.5),
+                                    GeneralizedMean(0.3, 2), ConvexCombo(0.5)])
+    def test_bit_identical_to_broadcast_formula(self, op):
+        n = 120
+        assert 8 * n**3 > BLOCK_BYTES  # at least two row blocks
+        A, B = _random_ifm(n, 1), _random_ifm(n, 2)
+        out = compose(A, B, op)
+        mu, nu = _broadcast_compose(A, B, op)
+        assert out.mu.tobytes() == mu.tobytes()
+        assert out.nu.tobytes() == nu.tobytes()
+
+    @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 2), ConvexCombo(0.5)])
+    def test_temporaries_bounded(self, op):
+        # The broadcast formula peaked at 2 * n^3 * 8 bytes (128 MB).
+        A = _random_ifm(200, 3)
+        tracemalloc.start()
+        try:
+            compose(A, A, op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPower:

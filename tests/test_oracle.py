@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ifmpower import (
@@ -13,6 +15,7 @@ from ifmpower import (
     differential_check,
     power,
 )
+from ifmpower.oracle import random_ifm
 
 A3 = Ifm.from_pairs([
     [(1, 0), (0.5, 0.4), (0, 1)],
@@ -86,3 +89,16 @@ def test_right_fold_mutation_is_caught():
         differential_check(50, seed=1, power_fn=right_fold_power)
     assert exc.value.matrix is not None
     assert exc.value.exponent >= 2
+
+
+@pytest.mark.parametrize("p", [16.0, -16.0])
+def test_matches_engine_at_large_abs_p(p):
+    # x^p underflows to 0 (p = 16) or overflows to inf (p = -16) for the
+    # tiny entries; both paths must make the same call on them.
+    tiny = Ifm.from_pairs([[(0, 1), (1e-25, 0.5)], [(1e-300, 0), (0.3, 1e-20)]])
+    rng = random.Random(16)
+    for A in (tiny, A3, random_ifm(rng, 2), random_ifm(rng, 3)):
+        for lam in (0.25, 0.5, 0.9):
+            op = GeneralizedMean(lam, p)
+            for m in (2, 3, 4):
+                assert delta(power(A, m, op), brute_force_power(A, m, op)) <= 1e-12
