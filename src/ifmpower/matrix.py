@@ -207,10 +207,16 @@ def compose(A, B, op):
             nu = np.repeat(B.nu.min(axis=0)[None, :], A.rows, axis=0)
         else:
             hi, lo = (np.maximum, np.minimum) if p > 0 else (np.minimum, np.maximum)
-            # x^p is +inf for x = 0 (or tiny x) when p < 0; it maps back to 0.
+
+            def s(x, w):
+                # x^p is +inf for x = 0 (or tiny x) when p < 0; it maps
+                # back to 0. Adding 0.0 turns -0.0 into +0.0, whose power
+                # is +inf, not -inf, for odd integer p < 0.
+                return w * ((x + 0.0) if p < 0 else x) ** p
+
             with np.errstate(divide="ignore", over="ignore"):
-                mu = _reduce_rows(hi, np.add, lam * A.mu**p, (1.0 - lam) * B.mu**p)
-                nu = _reduce_rows(lo, np.add, lam * A.nu**p, (1.0 - lam) * B.nu**p)
+                mu = _reduce_rows(hi, np.add, s(A.mu, lam), s(B.mu, 1.0 - lam))
+                nu = _reduce_rows(lo, np.add, s(A.nu, lam), s(B.nu, 1.0 - lam))
             mu **= 1.0 / p
             nu **= 1.0 / p
     else:
@@ -222,7 +228,7 @@ def compose(A, B, op):
         mu = _reduce_rows(np.maximum, mean(np.minimum), A.mu, B.mu)
         nu = _reduce_rows(np.minimum, mean(np.maximum), A.nu, B.nu)
     # Guard against float spill just outside [0, 1].
-    return Ifm(np.clip(mu, 0.0, 1.0), np.clip(nu, 0.0, 1.0))
+    return Ifm(mu.clip(0.0, 1.0), nu.clip(0.0, 1.0))
 
 
 def power(A, k, op):

@@ -77,11 +77,15 @@ def test_non_finite_components_rejected(bad):
 def _broadcast_compose(A, B, op):
     """Reference: the n^3 broadcast formula, with one power mean per
     (i, t, j) cell, that compose evaluated before the row-blocked
-    s = x^p kernel; lam in (0, 1) for GeneralizedMean."""
+    s = x^p kernel; lam in (0, 1) for GeneralizedMean. For p < 0 it
+    reads -0.0 as +0.0: the old formula took (-0.0)^p = -inf for odd
+    integer p and then dropped or NaN-ed the zero."""
     if isinstance(op, GeneralizedMean):
         lam, p = op.lam, op.p
 
         def grid(x, y):
+            if p < 0:
+                x, y = x + 0.0, y + 0.0
             with np.errstate(divide="ignore"):
                 xp, yp = x**p, y**p
                 return (lam * xp[:, :, None] + (1.0 - lam) * yp[None, :, :]) ** (1.0 / p)
@@ -98,13 +102,14 @@ def _broadcast_compose(A, B, op):
 
 
 def _random_ifm(n, seed):
-    # Planted exact 0 and <1, 0> entries exercise the p < 0 zero
-    # convention and ties in the reductions.
+    # Planted exact +-0 and <1, 0> entries exercise the p < 0 zero
+    # convention, signed zeros and ties in the reductions.
     rng = np.random.default_rng(seed)
     u = rng.random((n, n))
     v = rng.random((n, n)) * (1 - u)
-    u[rng.random((n, n)) < 0.05] = 0.0
-    v[rng.random((n, n)) < 0.05] = 0.0
+    for x in (u, v):
+        x[rng.random((n, n)) < 0.05] = 0.0
+        x[rng.random((n, n)) < 0.05] = -0.0
     one = rng.random((n, n)) < 0.02
     u[one], v[one] = 1.0, 0.0
     return Ifm(u, v)
@@ -162,6 +167,17 @@ class TestCompose:
         mu, nu = _broadcast_compose(A, B, op)
         assert out.mu.tobytes() == mu.tobytes()
         assert out.nu.tobytes() == nu.tobytes()
+
+    @pytest.mark.parametrize("p", [-1.0, -3.0])
+    def test_negative_zero_is_zero(self, p):
+        # (-0.0)^p is -inf for odd integer p < 0; a -0.0 entry must still
+        # count as 0, alone and next to a +0.0 (where -inf + inf is NaN).
+        op = GeneralizedMean(0.5, p)
+        A = Ifm([[-0.0, 0.5], [0.5, 0.5]], [[0.5, -0.0], [0.0, 0.5]])
+        assert compose(A, A, op).mu[0, 0] == 0.5
+        for M in (A, _random_ifm(3, 4), _random_ifm(4, 5)):
+            for m in (2, 3, 4):
+                assert delta(power(M, m, op), brute_force_power(M, m, op)) <= 1e-12
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 2), ConvexCombo(0.5)])
     def test_temporaries_bounded(self, op):
