@@ -32,7 +32,6 @@ from .ifn import (
     gen_mean_pair,
     gen_mean_scalar,
     ifn_diff,
-    make_ifn,
     scalar_mult,
     star_scalar,
 )
@@ -47,7 +46,6 @@ from .matrix import (
     delta,
     harmonic,
     is_universal,
-    max_min,
     power,
     power_sequence,
     root_power,

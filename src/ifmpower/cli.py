@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroPError,
 )
-from .ifn import make_ifn
+from .ifn import Ifn
 from .matrix import (
     ConvexCombo,
     GeneralizedMean,
@@ -68,7 +68,7 @@ def parse_matrix(text):
             if not isinstance(cell, dict) or {"mu", "nu"} - cell.keys():
                 raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
             try:
-                e = make_ifn(cell["mu"], cell["nu"])
+                e = Ifn(cell["mu"], cell["nu"])
             except (ValueError, TypeError) as exc:
                 raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
             mu[i, j] = e.mu

@@ -11,7 +11,9 @@ reachable from a critical vertex through critical edges saturate to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, Tuple
+
+import numpy as np
 
 from .errors import BadPathError, DimensionMismatchError
 from .ifn import ComponentPair, gen_mean_pair, star_scalar
@@ -103,40 +105,29 @@ def path_weight_star(A, path, lam):
     return folded
 
 
-def _critical_adjacency(A):
-    n = A.rows
-    return {
-        i: [j for j in range(1, n + 1) if A.mu[i - 1, j - 1] == 1.0 and A.nu[i - 1, j - 1] == 0.0]
-        for i in range(1, n + 1)
-    }
-
-
-def _reachable_from(adj, start):
-    """Vertices reachable from start via at least one edge."""
-    seen = set()
-    stack = list(adj[start])
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v])
-    return seen
-
-
 def critical_structure(A):
     """Critical edges, vertices on critical cycles, and per-column
-    reachability from a critical vertex."""
+    reachability from a critical vertex.
+
+    One Warshall closure (Warshall, "A theorem on Boolean matrices",
+    JACM 1962) of the critical adjacency C. Invariant after step k
+    (0-based): R[i, j] holds iff a critical walk of at least one edge
+    leads from i to j through inner vertices <= k. At the end R is
+    reachability by walks of at least one edge, so i is critical iff
+    R[i, i], and column j saturates iff R[i, j] for a critical i.
+    """
     if not A.is_square():
         raise DimensionMismatchError("critical structure needs a square matrix")
-    n = A.rows
-    adj = _critical_adjacency(A)
-    edges = frozenset((i, j) for i, out in adj.items() for j in out)
-    reach: Dict[int, set] = {v: _reachable_from(adj, v) for v in range(1, n + 1)}
-    vertices = frozenset(v for v in range(1, n + 1) if v in reach[v])
-    columns = tuple(
-        any(j in reach[v] for v in vertices) for j in range(1, n + 1)
-    )
+    C = (A.mu == 1.0) & (A.nu == 0.0)
+    R = C.copy()
+    for k in range(A.rows):
+        R[R[:, k]] |= R[k]
+    on_cycle = R.diagonal()
+    # tolist() gives Python ints and bools, whose reprs analyze prints.
+    tails, heads = np.nonzero(C)
+    edges = frozenset(zip((tails + 1).tolist(), (heads + 1).tolist()))
+    vertices = frozenset((np.flatnonzero(on_cycle) + 1).tolist())
+    columns = tuple(R[on_cycle].any(axis=0).tolist())
     return CriticalStructure(edges, vertices, columns)
 
 
@@ -170,10 +161,8 @@ def export_dot(A, graph_name="G", precision=5):
     for v in range(1, n + 1):
         shape = "doublecircle" if v in struct.critical_vertices else "circle"
         lines.append(f'  {v} [label="v{v}", shape={shape}];')
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            mu = A.mu[i - 1, j - 1]
-            nu = A.nu[i - 1, j - 1]
+    for i, (mu_row, nu_row) in enumerate(zip(A.mu, A.nu), start=1):
+        for j, (mu, nu) in enumerate(zip(mu_row.tolist(), nu_row.tolist()), start=1):
             if mu > 0.0 or nu < 1.0:
                 label = f"⟨{mu:.{precision}f},{nu:.{precision}f}⟩"
                 style = ', style=bold, penwidth=2' if (i, j) in struct.critical_edges else ""

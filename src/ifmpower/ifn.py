@@ -49,11 +49,6 @@ class Ifn(ComponentPair):
             )
 
 
-def make_ifn(mu, nu):
-    """Construct a validated Ifn from raw components."""
-    return Ifn(mu, nu)
-
-
 def dominance_leq(a, b):
     """True iff a is dominated by b: a.mu <= b.mu and a.nu >= b.nu.
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroPError
-from .ifn import ComponentPair, Ifn, make_ifn
+from .ifn import ComponentPair, Ifn
 
 # Threshold above which mu + nu > 1 counts as a real closure violation
 # rather than float drift.
@@ -55,10 +55,6 @@ class ConvexCombo:
 
 
 Operator = Union[GeneralizedMean, ConvexCombo]
-
-
-def max_min():
-    return GeneralizedMean(1.0, 1.0)
 
 
 def arith_mean():
@@ -105,7 +101,7 @@ class Ifm:
     def from_pairs(cls, grid):
         """Build from a nested sequence of (mu, nu) pairs, validating
         each entry as an IFN."""
-        rows = [[make_ifn(m, v) for m, v in row] for row in grid]
+        rows = [[Ifn(m, v) for m, v in row] for row in grid]
         if len({len(r) for r in rows}) != 1:
             raise DimensionMismatchError("ragged rows")
         return cls(

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,16 @@ def test_readme_command_lines_parse():
     assert commands == {"power", "converge", "analyze", "sweep", "oracle-check"}
 
 
+def test_cli_import_leaves_scipy_out():
+    # Import time is a benchmarked metric, and scipy alone costs more
+    # than the whole package. The child sees this process's sys.path.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, ifmpower.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 class TestPowerCommand:
     def test_b8_display(self, b_file, capsys):
         code = main(["power", "--input", b_file, "--op", "star",
@@ -185,6 +198,26 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "critical_vertices: {1, 2, 3}" in out
         assert "predict_universal: yes" in out
+
+    def test_exact_report(self, tmp_path, capsys):
+        # Critical edges all end in vertex 1, whose self-loop is the only
+        # critical cycle, so only column 1 saturates.
+        f = tmp_path / "M.json"
+        f.write_text(format_matrix(Ifm.from_pairs([
+            [(1, 0), (0.5, 0.4), (0, 1)],
+            [(1, 0), (0.6, 0.3), (0.3, 0.6)],
+            [(1, 0), (0.9, 0), (0, 1)],
+        ])))
+        code = main(["analyze", "--input", str(f)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "critical_vertices: {1}\n"
+            "critical_edges: [(1, 1), (2, 1), (3, 1)]\n"
+            "column 1 limit <1,0>: yes\n"
+            "column 2 limit <1,0>: no\n"
+            "column 3 limit <1,0>: no\n"
+            "predict_universal: no\n"
+        )
 
     def test_empty_critical_set(self, tmp_path, capsys):
         f = tmp_path / "Z.json"

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from ifmpower import (
     BadPathError,
+    CriticalStructure,
     GeneralizedMean,
     Ifm,
     PathSpec,
@@ -138,6 +140,48 @@ class TestCriticalStructure:
         assert s.critical_vertices == frozenset()
         assert s.reachable_columns == (False, False)
 
+    @pytest.mark.parametrize("frac", [0.0, 0.02, 0.1, 0.5, 1.0])
+    def test_matches_per_vertex_dfs(self, frac):
+        rng = np.random.default_rng(int(frac * 100))
+        for t in range(70):
+            n = 1 + t % 30
+            u = rng.random((n, n))
+            v = rng.random((n, n)) * (1 - u)
+            one = rng.random((n, n)) < frac
+            u[one], v[one] = 1.0, 0.0
+            M = Ifm(u, v)
+            s = critical_structure(M)
+            assert s == _dfs_critical_structure(M)
+            assert all(type(x) is int for e in s.critical_edges for x in e)
+            assert all(type(x) is int for x in s.critical_vertices)
+            assert all(type(x) is bool for x in s.reachable_columns)
+
+
+def _dfs_critical_structure(A):
+    """Reference: a depth-first search from every vertex over the
+    exact-<1,0> edges."""
+    n = A.rows
+    adj = {
+        i: [j for j in range(1, n + 1) if A.mu[i - 1, j - 1] == 1.0 and A.nu[i - 1, j - 1] == 0.0]
+        for i in range(1, n + 1)
+    }
+
+    def reachable_from(start):
+        seen = set()
+        stack = list(adj[start])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v])
+        return seen
+
+    reach = {v: reachable_from(v) for v in range(1, n + 1)}
+    edges = frozenset((i, j) for i, out in adj.items() for j in out)
+    vertices = frozenset(v for v in range(1, n + 1) if v in reach[v])
+    columns = tuple(any(j in reach[v] for v in vertices) for j in range(1, n + 1))
+    return CriticalStructure(edges, vertices, columns)
+
 
 class TestPredictions:
     def test_example_a_all_columns(self):
@@ -221,3 +265,24 @@ class TestExportDot:
     def test_label_precision(self):
         dot = export_dot(A3)
         assert "⟨0.50000,0.40000⟩" in dot
+
+    def test_golden_text(self):
+        # -0.0 keeps its sign in labels; <0, 1> entries are not drawn;
+        # only vertex 1 lies on a critical cycle.
+        M = Ifm(
+            [[1.0, -0.0, 0.0], [0.0, 0.25, 1.0], [1.0, 0.5, 0.0]],
+            [[0.0, 0.5, 1.0], [1.0, 0.75, 0.0], [0.0, -0.0, 1.0]],
+        )
+        assert export_dot(M) == (
+            "digraph G {\n"
+            '  1 [label="v1", shape=doublecircle];\n'
+            '  2 [label="v2", shape=circle];\n'
+            '  3 [label="v3", shape=circle];\n'
+            '  1 -> 1 [label="⟨1.00000,0.00000⟩", style=bold, penwidth=2];\n'
+            '  1 -> 2 [label="⟨-0.00000,0.50000⟩"];\n'
+            '  2 -> 2 [label="⟨0.25000,0.75000⟩"];\n'
+            '  2 -> 3 [label="⟨1.00000,0.00000⟩", style=bold, penwidth=2];\n'
+            '  3 -> 1 [label="⟨1.00000,0.00000⟩", style=bold, penwidth=2];\n'
+            '  3 -> 2 [label="⟨0.50000,-0.00000⟩"];\n'
+            "}\n"
+        )

@@ -15,7 +15,6 @@ from ifmpower import (
     gen_mean_pair,
     gen_mean_scalar,
     ifn_diff,
-    make_ifn,
     scalar_mult,
     star_scalar,
 )
@@ -30,22 +29,25 @@ def ifn_st():
 
 
 class TestMakeIfn:
+    """Constructing an Ifn validates the range and the sum constraint."""
+
     def test_boundary(self):
-        assert make_ifn(1.0, 0.0) == Ifn(1.0, 0.0)
+        a = Ifn(1, 0)
+        assert (a.mu, a.nu) == (1.0, 0.0)
 
     def test_interior(self):
-        a = make_ifn(0.6, 0.3)
+        a = Ifn(0.6, 0.3)
         assert (a.mu, a.nu) == (0.6, 0.3)
 
     def test_sum_violation(self):
         with pytest.raises(SumViolationError):
-            make_ifn(0.7, 0.7)
+            Ifn(0.7, 0.7)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            make_ifn(-0.1, 0.5)
+            Ifn(-0.1, 0.5)
         with pytest.raises(OutOfRangeError):
-            make_ifn(0.5, 1.2)
+            Ifn(0.5, 1.2)
 
     def test_component_pair_allows_sum_above_one(self):
         p = ComponentPair(0.7, 0.7)

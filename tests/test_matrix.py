@@ -15,7 +15,6 @@ from ifmpower import (
     delta,
     harmonic,
     is_universal,
-    max_min,
     power,
     power_sequence,
     root_power,
@@ -44,7 +43,6 @@ GM = GeneralizedMean(0.6, 1)
 
 
 def test_presets():
-    assert max_min() == GeneralizedMean(1.0, 1.0)
     assert arith_mean() == GeneralizedMean(0.5, 1.0)
     assert root_power(2) == GeneralizedMean(0.5, 2.0)
     assert convex_mean(0.3) == GeneralizedMean(0.3, 1.0)
@@ -116,7 +114,7 @@ def _random_ifm(n, seed):
 
 
 class TestCompose:
-    @pytest.mark.parametrize("op", [GM, ConvexCombo(0.5), max_min(), harmonic()])
+    @pytest.mark.parametrize("op", [GM, ConvexCombo(0.5), GeneralizedMean(1.0, 1.0), harmonic()])
     def test_universal_fixed_point(self, op):
         U = Ifm.universal(3)
         assert compose(U, U, op) == U
@@ -316,7 +314,7 @@ class TestPowerSequence:
         assert rep.oscillation_period == 2
 
     def test_lambda_one_gen_mean_no_bound_claim(self):
-        rep = power_sequence(A3, max_min(), eps=1e-12, max_iter=50)
+        rep = power_sequence(A3, GeneralizedMean(1.0, 1.0), eps=1e-12, max_iter=50)
         assert all(b is None for b in rep.bound_trace)
 
 
