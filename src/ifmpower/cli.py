@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroPError,
 )
-from .ifn import Ifn
+from .ifn import SUM_TOL, Ifn
 from .matrix import (
     ConvexCombo,
     GeneralizedMean,
@@ -46,6 +46,33 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_MISMATCH = 5
 
 
+def _bulk_components(entries, rows, cols):
+    """Read the mu and nu grids of `entries` with one numpy conversion
+    each, or return None to leave the document to the per-entry loop.
+
+    None is returned when a row is not a list of objects with mu and nu,
+    the grid is ragged or of the wrong shape, a value is not a JSON
+    number or boolean, or a value fails the comparisons Ifn makes. The
+    loop then reports the first bad entry in row-major order, or accepts
+    the odd but valid cells this path declines, such as numeric strings.
+    """
+    try:
+        mu = np.array([[cell["mu"] for cell in row] for row in entries])
+        nu = np.array([[cell["nu"] for cell in row] for row in entries])
+    except (TypeError, KeyError, ValueError, IndexError):
+        return None
+    if not (mu.dtype.kind in "biuf" and nu.dtype.kind in "biuf"
+            and mu.shape == nu.shape == (rows, cols)):
+        return None
+    # In float64, as Ifn compares: booleans would add as logical or.
+    mu, nu = mu.astype(np.float64, copy=False), nu.astype(np.float64, copy=False)
+    # Written so that NaN fails the range test.
+    if not (((mu >= 0) & (mu <= 1) & (nu >= 0) & (nu <= 1)).all()
+            and (mu + nu <= 1.0 + SUM_TOL).all()):
+        return None
+    return mu, nu
+
+
 def parse_matrix(text):
     """Parse and validate a JSON matrix document into an Ifm."""
     try:
@@ -59,6 +86,9 @@ def parse_matrix(text):
         raise ParseError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
+    grids = _bulk_components(entries, rows, cols)
+    if grids is not None:
+        return Ifm(*grids)
     mu = np.empty((rows, cols))
     nu = np.empty((rows, cols))
     for i, row in enumerate(entries):
@@ -78,23 +108,35 @@ def parse_matrix(text):
 
 def format_matrix(M, display=None):
     """Serialize an Ifm as a JSON document; full round-trip precision by
-    default (json writes the shortest repr that reads back the same
-    float64), `display` decimals for paper-style rounding."""
+    default, `display` decimals for paper-style rounding.
+
+    The text is byte for byte what ``json.dumps(doc, indent=1)`` writes
+    for {"rows", "cols", "entries": [[{"mu", "nu"}, ...], ...]}, the
+    layout the CLI has always printed. It is built here because, before
+    Python 3.13, json drops to its pure-Python encoder whenever `indent`
+    is set. Each value is written with float.__repr__, as json writes
+    floats: the shortest text that reads back as the same float64. Ifm
+    holds finite values only, so json's NaN and Infinity spellings
+    cannot arise.
+    """
     mu, nu = M.mu.tolist(), M.nu.tolist()
     if display is not None:
         mu = [[round(x, display) for x in row] for row in mu]
         nu = [[round(x, display) for x in row] for row in nu]
-    doc = {
-        "rows": M.rows,
-        "cols": M.cols,
-        "entries": [
-            [{"mu": m, "nu": v} for m, v in zip(mu_row, nu_row)]
-            for mu_row, nu_row in zip(mu, nu)
-        ],
-    }
-    # The row lists are not needed while json.dumps builds its chunks.
+    rows = [
+        "  [\n" + ",\n".join(
+            f'   {{\n    "mu": {m!r},\n    "nu": {v!r}\n   }}'
+            for m, v in zip(mu_row, nu_row)
+        ) + "\n  ]"
+        for mu_row, nu_row in zip(mu, nu)
+    ]
+    # The value lists are not needed while the document is joined.
     del mu, nu
-    return json.dumps(doc, indent=1)
+    # Head and tail ride on the first and last rows, so the document
+    # text is assembled by one join, not copied again by concatenation.
+    rows[0] = f'{{\n "rows": {M.rows},\n "cols": {M.cols},\n "entries": [\n' + rows[0]
+    rows[-1] += "\n ]\n}"
+    return ",\n".join(rows)
 
 
 def _load_matrix(path):
@@ -196,7 +238,7 @@ def cmd_converge(args):
     op = _operator_from_args(args)
     report = power_sequence(A, op, eps=args.eps, max_iter=args.max_iter)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
+        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "delta", "bound"])
             for i, (d, b) in enumerate(zip(report.deltas, report.bound_trace)):
@@ -226,7 +268,7 @@ def cmd_analyze(args):
         print(f"column {j} limit <1,0>: {'yes' if flag else 'no'}")
     print(f"predict_universal: {'yes' if graph.predict_universal(A) else 'no'}")
     if args.dot:
-        with open(args.dot, "w") as fh:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph.export_dot(A))
         print(f"dot written: {args.dot}")
     return EXIT_OK
@@ -258,7 +300,8 @@ def cmd_sweep(args):
                 f"{mu_dist:.17g}",
                 "no-guarantee" if lam == 1.0 else "",
             ])
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
+    out = (open(args.output, "w", newline="", encoding="utf-8") if args.output
+           else sys.stdout)
     try:
         writer = csv.writer(out)
         writer.writerow(["lambda", "p", "converged", "iterations",

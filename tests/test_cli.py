@@ -5,11 +5,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ifmpower import Ifm, ParseError, ValidationError, delta
+from ifmpower import Ifm, Ifn, ParseError, ValidationError, cli, delta
 from ifmpower.cli import build_parser, format_matrix, main, parse_grid, parse_matrix
 
 A_DOC = json.dumps({
@@ -45,7 +47,166 @@ def b_file(tmp_path):
     return str(f)
 
 
+def _json_format(M, display=None):
+    """The writer as it was when it called json.dumps: the reference
+    for the document bytes."""
+    mu, nu = M.mu.tolist(), M.nu.tolist()
+    if display is not None:
+        mu = [[round(x, display) for x in row] for row in mu]
+        nu = [[round(x, display) for x in row] for row in nu]
+    doc = {
+        "rows": M.rows,
+        "cols": M.cols,
+        "entries": [
+            [{"mu": m, "nu": v} for m, v in zip(mu_row, nu_row)]
+            for mu_row, nu_row in zip(mu, nu)
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+def _per_entry_parse(text):
+    """The reader as it was before its bulk path: one Ifn per entry. The
+    reference for values, error classes and messages."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not {"rows", "cols", "entries"} <= doc.keys():
+        raise ParseError("document must carry rows, cols and entries")
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+        raise ParseError("rows and cols must be positive integers")
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
+    mu = np.empty((rows, cols))
+    nu = np.empty((rows, cols))
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError(f"row {i} is ragged: expected {cols} entries")
+        for j, cell in enumerate(row):
+            if not isinstance(cell, dict) or {"mu", "nu"} - cell.keys():
+                raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
+            try:
+                e = Ifn(cell["mu"], cell["nu"])
+            except (ValueError, TypeError) as exc:
+                raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
+            mu[i, j] = e.mu
+            nu[i, j] = e.nu
+    return Ifm(mu, nu)
+
+
+def _edge_ifm(rng, rows, cols):
+    """A valid random Ifm with -0.0, exact 0 and 1, 1e-300 and
+    subnormal components planted among uniform ones."""
+    mu = rng.random((rows, cols))
+    nu = rng.random((rows, cols)) * (1 - mu)
+    pick = rng.random((rows, cols))
+    mu[pick < 0.05] = -0.0
+    nu[pick > 0.95] = -0.0
+    ones = (pick >= 0.05) & (pick < 0.1)
+    mu[ones], nu[ones] = 1.0, 0.0
+    zeros = (pick >= 0.1) & (pick < 0.15)
+    mu[zeros], nu[zeros] = 0.0, 1.0
+    mu[(pick >= 0.15) & (pick < 0.2)] = 1e-300
+    nu[(pick >= 0.2) & (pick < 0.25)] = 5e-324
+    nu[(pick >= 0.25) & (pick < 0.3)] = 2.2250738585072014e-308 / 3
+    return Ifm(mu, nu)
+
+
+def _same_bits(A, B):
+    return A.mu.tobytes() == B.mu.tobytes() and A.nu.tobytes() == B.nu.tobytes()
+
+
+def _doc(entries):
+    return json.dumps({"rows": len(entries), "cols": 2, "entries": entries})
+
+
+class TestFormatMatrix:
+    @pytest.mark.parametrize("display", [None, 0, 3, 5, 17])
+    def test_bytes_match_json_dumps(self, display):
+        rng = np.random.default_rng(11)
+        shapes = [(1, 1), (1, 17), (17, 1), (1, 40), (40, 1)]
+        shapes += [tuple(int(x) for x in rng.integers(1, 41, size=2)) for _ in range(200)]
+        for rows, cols in shapes:
+            M = _edge_ifm(rng, rows, cols)
+            text = format_matrix(M, display)
+            assert text == _json_format(M, display)
+            if display is None:
+                assert _same_bits(parse_matrix(text), M)
+
+    def test_memory_bounded(self):
+        # json.dumps(indent=1) held about 70 MB of chunks for this 6 MB text.
+        M = _edge_ifm(np.random.default_rng(5), 300, 300)
+        tracemalloc.start()
+        try:
+            format_matrix(M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 35 * 2**20
+
+
+MALFORMED = {
+    "ragged-row": _doc([[{"mu": 0, "nu": 0}] * 2, [{"mu": 0, "nu": 0}]]),
+    "short-rows": json.dumps({"rows": 2, "cols": 3,
+                              "entries": [[{"mu": 0, "nu": 0}] * 2] * 2}),
+    "row-not-a-list": _doc([[{"mu": 0, "nu": 0}] * 2, {"mu": 0, "nu": 0}]),
+    "row-a-string": _doc([[{"mu": 0, "nu": 0}] * 2, "ab"]),
+    "cell-not-an-object": _doc([[{"mu": 0, "nu": 0}, [0.1, 0.2]]]),
+    "missing-nu": _doc([[{"mu": 0, "nu": 0}, {"mu": 0.5}]]),
+    "null": _doc([[{"mu": 0, "nu": 0}, {"mu": None, "nu": 0}]]),
+    "list-value": _doc([[{"mu": 0, "nu": 0}, {"mu": [0.5], "nu": 0}]]),
+    "list-values": _doc([[{"mu": [0.5], "nu": [0.1]}] * 2]),
+    "object-value": _doc([[{"mu": {"x": 1}, "nu": 0}] * 2]),
+    "word": _doc([[{"mu": "half", "nu": 0}] * 2]),
+    "NaN": '{"rows": 1, "cols": 2, "entries": [[{"mu": 0, "nu": 0}, {"mu": NaN, "nu": 0}]]}',
+    "1e400": '{"rows": 1, "cols": 2, "entries": [[{"mu": 0, "nu": 1e400}, {"mu": 0, "nu": 0}]]}',
+    "negative": _doc([[{"mu": 0, "nu": 0}, {"mu": -0.1, "nu": 0}]]),
+    "above-one": _doc([[{"mu": 0, "nu": 1.5}, {"mu": 0, "nu": 0}]]),
+    "sum-violation": _doc([[{"mu": 0, "nu": 0}, {"mu": 0.6, "nu": 0.5}]]),
+    "true-and-true": _doc([[{"mu": True, "nu": True}] * 2]),
+    "huge-int": '{"rows": 1, "cols": 2, "entries": [[{"mu": 0, "nu": 0}, {"mu": 1'
+                + "0" * 400 + ', "nu": 0}]]}',
+    "bad-cell-before-ragged-row": _doc([[{"mu": 0, "nu": 0}, {"mu": 2, "nu": 0}],
+                                        [{"mu": 0, "nu": 0}]]),
+}
+
+ODD_BUT_VALID = {
+    "numeric-strings": _doc([[{"mu": "0.5", "nu": "0.25"}, {"mu": 0.1, "nu": " 0.2 "}]]),
+    "booleans": _doc([[{"mu": True, "nu": False}, {"mu": False, "nu": True}]]),
+    "booleans-and-floats": _doc([[{"mu": True, "nu": 0.0}, {"mu": 0.3, "nu": False}]]),
+    "ints": _doc([[{"mu": 1, "nu": 0}, {"mu": 0, "nu": 1}], [{"mu": 0, "nu": 0}] * 2]),
+    "extra-keys": _doc([[{"mu": 0.5, "nu": 0.25, "note": "x"}, {"mu": 0, "nu": 1, "w": [1]}]]),
+    "negative-zero": _doc([[{"mu": -0.0, "nu": 0.5}, {"mu": 0.5, "nu": -0.0}]]),
+    "sum-within-tolerance": _doc([[{"mu": 0.7, "nu": 0.3 + 1e-13}, {"mu": 0, "nu": 0}]]),
+}
+
+
 class TestParseMatrix:
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_errors_match_per_entry_reader(self, text):
+        with pytest.raises(Exception) as ref:
+            _per_entry_parse(text)
+        with pytest.raises(Exception) as got:
+            parse_matrix(text)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("text", ODD_BUT_VALID.values(), ids=ODD_BUT_VALID.keys())
+    def test_odd_cells_match_per_entry_reader(self, text):
+        assert _same_bits(parse_matrix(text), _per_entry_parse(text))
+
+    def test_clean_document_skips_per_entry_objects(self, monkeypatch):
+        M = _edge_ifm(np.random.default_rng(7), 300, 300)
+        text = format_matrix(M)
+
+        def no_ifn(*args):
+            raise AssertionError("per-entry path taken")
+
+        monkeypatch.setattr(cli, "Ifn", no_ifn)
+        assert _same_bits(parse_matrix(text), M)
+
     def test_example_document(self):
         A = parse_matrix(A_DOC)
         assert (A.rows, A.cols) == (3, 3)
@@ -240,6 +401,20 @@ class TestAnalyzeCommand:
         for line in text.splitlines():
             if "->" in line:
                 assert line.strip().endswith("];")
+
+    def test_dot_file_is_utf8_under_ascii_locale(self, a_file, tmp_path):
+        # Node labels hold the angle brackets of <mu, nu>, which the C
+        # locale's ASCII encoding cannot write.
+        dot = tmp_path / "g.dot"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C",
+                   PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env.pop("PYTHONIOENCODING", None)
+        out = subprocess.run(
+            [sys.executable, "-m", "ifmpower.cli", "analyze", "--input", a_file,
+             "--dot", str(dot)],
+            env=env, capture_output=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert "\u27e8" in dot.read_bytes().decode("utf-8")
 
 
 class TestSweepCommand:
