@@ -6,6 +6,7 @@ from .errors import (
     BadPathError,
     BudgetExceededError,
     DimensionMismatchError,
+    DomainError,
     IfmError,
     MismatchFoundError,
     NotDominatedError,

@@ -22,6 +22,7 @@ import numpy as np
 from . import graph, oracle
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     IfmError,
     MismatchFoundError,
     ParseError,
@@ -84,7 +85,9 @@ def parse_matrix(text):
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
         raise ParseError("rows and cols must be positive integers")
-    if not isinstance(entries, list) or len(entries) != rows:
+    if not isinstance(entries, list):
+        raise ParseError("entries must be a list of rows")
+    if len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
     grids = _bulk_components(entries, rows, cols)
     if grids is not None:
@@ -99,7 +102,7 @@ def parse_matrix(text):
                 raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
             try:
                 e = Ifn(cell["mu"], cell["nu"])
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
             mu[i, j] = e.mu
             nu[i, j] = e.nu
@@ -269,7 +272,7 @@ def cmd_analyze(args):
     print(f"predict_universal: {'yes' if graph.predict_universal(A) else 'no'}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph.export_dot(A))
+            fh.write(graph.export_dot(A, struct=struct))
         print(f"dot written: {args.dot}")
     return EXIT_OK
 
@@ -350,7 +353,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_INPUT
     try:
         return COMMANDS[args.command](args)
-    except (ZeroPError, DimensionMismatchError) as exc:
+    except (DomainError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (OSError, IfmError, ValueError) as exc:

@@ -13,7 +13,12 @@ class SumViolationError(IfmError, ValueError):
     """mu + nu exceeds 1 beyond the construction tolerance."""
 
 
-class ZeroPError(IfmError, ValueError):
+class DomainError(IfmError, ValueError):
+    """An operator parameter lies outside the domain where the operator
+    is defined."""
+
+
+class ZeroPError(DomainError):
     """The power-mean exponent p must be nonzero."""
 
 

@@ -146,17 +146,19 @@ def predict_universal(A):
     return bool(on.any(axis=0).all())
 
 
-def export_dot(A, graph_name="G", precision=5):
+def export_dot(A, graph_name="G", precision=5, struct=None):
     """Render the matrix as a Graphviz digraph.
 
     Edges with mu > 0 or nu < 1 are drawn, labeled <mu,nu> rounded to
     `precision` decimals; critical edges are bold, critical vertices
-    double-circled.
+    double-circled. `struct` is A's critical structure when the caller
+    has already computed it; otherwise it is computed here.
     """
     if not A.is_square():
         raise DimensionMismatchError("DOT export needs a square matrix")
     n = A.rows
-    struct = critical_structure(A)
+    if struct is None:
+        struct = critical_structure(A)
     lines = [f"digraph {graph_name} {{"]
     for v in range(1, n + 1):
         shape = "doublecircle" if v in struct.critical_vertices else "circle"

@@ -8,12 +8,13 @@ violations are counted, never clamped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroPError
+from .errors import DimensionMismatchError, DomainError, ZeroPError
 from .ifn import ComponentPair, Ifn
 
 # Threshold above which mu + nu > 1 counts as a real closure violation
@@ -33,10 +34,18 @@ class GeneralizedMean:
     p: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.p)):
+            raise DomainError(
+                f"lambda and p must be finite, got lambda={self.lam}, p={self.p}"
+            )
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.p == 0:
             raise ZeroPError("p must be nonzero")
+        # compose maps s = x^p back by s^(1/p); 1/p overflows for |p|
+        # below about 5.6e-309.
+        if not math.isfinite(1.0 / self.p):
+            raise DomainError(f"1/p must be finite, got p={self.p}")
 
 
 @dataclass(frozen=True)
@@ -319,8 +328,8 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
     """
     if not A.is_square():
         raise DimensionMismatchError("powers require a square matrix")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
     detect_cycles = op.lam == 1.0
     seen = {A: 1} if detect_cycles else None

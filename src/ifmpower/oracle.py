@@ -4,14 +4,16 @@ Enumerates every walk between each vertex pair and takes the max of the
 membership weights and the min of the non-membership weights. Walk
 weights are left-folds of the pairwise scalar operators, so the oracle
 shares no code with the matrix engine's composition loop or with the
-closed-form weight formula.
+closed-form weight formula. The enumeration runs depth first over walk
+prefixes, so a prefix shared by many walks is folded once; each walk
+still gets exactly the scalar folds, in the same order, that folding it
+on its own would give.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
 from typing import List
 
 import numpy as np
@@ -40,7 +42,17 @@ def _fold(op, a, b):
 
 def brute_force_power(A, m, op, budget=OracleBudget()):
     """Entry (i, j) of A^m as <max, min> of weights over all m-walks
-    from i to j, with walk weights computed by explicit left-fold."""
+    from i to j, with walk weights computed by explicit left-fold.
+
+    Walks from i are enumerated depth first over their prefixes: the
+    prefix i -> v1 -> ... -> vd carries its folded weight, and each
+    extension by one edge costs one scalar fold, so walks that share a
+    prefix share its folds (n * sum of n^d for d = 2..m folds in all,
+    against (m - 1) * n^(m+1) when every walk is folded from scratch).
+    Every walk still sees the same folds in the same order, and walks
+    ending at j are visited in lexicographic order of their inner
+    vertices, so ties in max and min resolve as they would walk by walk.
+    """
     n = A.rows
     if m < 1:
         raise ValueError(f"power exponent must be >= 1, got {m}")
@@ -49,21 +61,26 @@ def brute_force_power(A, m, op, budget=OracleBudget()):
             f"n={n}, m={m} exceeds budget (max_n={budget.max_n}, max_m={budget.max_m})"
         )
     entries = [[A.entry(i, j) for j in range(n)] for i in range(n)]
+
+    def extend(w, v, d):
+        # w is the left fold of a d-edge walk from the current start
+        # vertex that ends at v.
+        if d == m:
+            best_mu[v] = max(best_mu[v], w.mu)
+            best_nu[v] = min(best_nu[v], w.nu)
+            return
+        for u, e in enumerate(entries[v]):
+            extend(_fold(op, w, e), u, d + 1)
+
     mu = np.empty((n, n))
     nu = np.empty((n, n))
     for i in range(n):
-        for j in range(n):
-            best_mu = -1.0
-            best_nu = 2.0
-            for mids in product(range(n), repeat=m - 1):
-                verts = (i, *mids, j)
-                w = entries[verts[0]][verts[1]]
-                for a, b in zip(verts[1:-1], verts[2:]):
-                    w = _fold(op, w, entries[a][b])
-                best_mu = max(best_mu, w.mu)
-                best_nu = min(best_nu, w.nu)
-            mu[i, j] = best_mu
-            nu[i, j] = best_nu
+        best_mu = [-1.0] * n
+        best_nu = [2.0] * n
+        for v, e in enumerate(entries[i]):
+            extend(e, v, 1)
+        mu[i] = best_mu
+        nu[i] = best_nu
     return Ifm(mu, nu)
 
 

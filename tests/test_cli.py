@@ -66,8 +66,10 @@ def _json_format(M, display=None):
 
 
 def _per_entry_parse(text):
-    """The reader as it was before its bulk path: one Ifn per entry. The
-    reference for values, error classes and messages."""
+    """The reader as it was before its bulk path, one Ifn per entry, with
+    a clean ParseError for non-list entries and OverflowError caught as a
+    ValidationError. The reference for values, error classes and
+    messages."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -77,7 +79,9 @@ def _per_entry_parse(text):
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
         raise ParseError("rows and cols must be positive integers")
-    if not isinstance(entries, list) or len(entries) != rows:
+    if not isinstance(entries, list):
+        raise ParseError("entries must be a list of rows")
+    if len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
     mu = np.empty((rows, cols))
     nu = np.empty((rows, cols))
@@ -89,7 +93,7 @@ def _per_entry_parse(text):
                 raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
             try:
                 e = Ifn(cell["mu"], cell["nu"])
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
             mu[i, j] = e.mu
             nu[i, j] = e.nu
@@ -148,6 +152,7 @@ class TestFormatMatrix:
 
 
 MALFORMED = {
+    "entries-not-a-list": '{"rows": 1, "cols": 1, "entries": 5}',
     "ragged-row": _doc([[{"mu": 0, "nu": 0}] * 2, [{"mu": 0, "nu": 0}]]),
     "short-rows": json.dumps({"rows": 2, "cols": 3,
                               "entries": [[{"mu": 0, "nu": 0}] * 2] * 2}),
@@ -310,6 +315,27 @@ class TestPowerCommand:
                      "--lambda", "0.5", "--steps", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["entries-not-a-list", "huge-int"])
+    def test_malformed_entries_exit_2(self, tmp_path, capsys, name):
+        f = tmp_path / "bad.json"
+        f.write_text(MALFORMED[name])
+        code = main(["power", "--input", str(f), "--op", "star",
+                     "--lambda", "0.5", "--steps", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("lam, p", [
+        ("0.5", "inf"), ("0.5", "-inf"), ("0.5", "nan"),
+        ("0.5", "1e-320"), ("nan", "1"), ("inf", "1"),
+    ])
+    def test_non_finite_parameters_exit_3(self, a_file, capsys, lam, p):
+        code = main(["power", "--input", a_file, "--op", "gen-mean",
+                     "--lambda", lam, f"--p={p}", "--steps", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestConvergeCommand:
     def test_example_a(self, a_file, capsys):
@@ -339,6 +365,14 @@ class TestConvergeCommand:
                      "--lambda", "1", "--max-iter", "50"])
         assert code == 4
         assert "oscillation_period: 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_2(self, a_file, capsys, eps):
+        code = main(["converge", "--input", a_file, "--op", "gen-mean",
+                     "--lambda", "0.5", "--p", "1", "--eps", eps,
+                     "--max-iter", "50"])
+        assert code == 2
+        assert "eps" in capsys.readouterr().err
 
     def test_trace_csv(self, a_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -402,6 +436,21 @@ class TestAnalyzeCommand:
             if "->" in line:
                 assert line.strip().endswith("];")
 
+    def test_dot_file_computes_one_closure(self, a_file, tmp_path, monkeypatch):
+        calls = []
+        closure = cli.graph.critical_structure
+
+        def counted(A):
+            calls.append(A)
+            return closure(A)
+
+        monkeypatch.setattr(cli.graph, "critical_structure", counted)
+        dot = tmp_path / "g.dot"
+        assert main(["analyze", "--input", a_file, "--dot", str(dot)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert dot.read_text(encoding="utf-8") == cli.graph.export_dot(parse_matrix(A_DOC))
+
     def test_dot_file_is_utf8_under_ascii_locale(self, a_file, tmp_path):
         # Node labels hold the angle brackets of <mu, nu>, which the C
         # locale's ASCII encoding cannot write.
@@ -429,6 +478,11 @@ class TestSweepCommand:
         assert [r["p"] for r in rows] == ["0.5", "1.0", "2.0"]
         dists = [float(r["mu_distance_to_U"]) for r in rows]
         assert dists[0] >= dists[1] >= dists[2] - 1e-12
+
+    def test_non_finite_eps_exits_2(self, a_file, capsys):
+        assert main(["sweep", "--input", a_file, "--lambda-grid", "0.5",
+                     "--eps", "inf"]) == 2
+        assert "eps" in capsys.readouterr().err
 
     def test_empty_grid_exits_2(self, a_file):
         assert main(["sweep", "--input", a_file,

@@ -6,6 +6,7 @@ import pytest
 from ifmpower import (
     ConvexCombo,
     DimensionMismatchError,
+    DomainError,
     GeneralizedMean,
     Ifm,
     ZeroPError,
@@ -57,6 +58,26 @@ def test_operator_validation():
         GeneralizedMean(1.5, 1)
     with pytest.raises(ValueError):
         ConvexCombo(-0.2)
+
+
+@pytest.mark.parametrize("lam, p", [
+    (0.5, np.inf), (0.5, -np.inf), (0.5, np.nan), (np.nan, 1.0), (np.inf, 1.0),
+    # 1/p overflows to inf
+    (0.5, 1e-320), (0.5, -5e-309),
+])
+def test_operator_rejects_non_finite_parameters(lam, p):
+    with pytest.raises(DomainError):
+        GeneralizedMean(lam, p)
+
+
+def test_smallest_p_with_finite_reciprocal_accepted():
+    GeneralizedMean(0.5, 6e-309)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_power_sequence_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        power_sequence(Ifm.universal(2), GeneralizedMean(0.5, 1.0), eps=eps)
 
 
 def test_from_pairs_ragged():

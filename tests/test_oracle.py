@@ -1,5 +1,7 @@
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from ifmpower import (
@@ -15,6 +17,7 @@ from ifmpower import (
     differential_check,
     power,
 )
+from ifmpower import oracle
 from ifmpower.oracle import random_ifm
 
 A3 = Ifm.from_pairs([
@@ -102,3 +105,95 @@ def test_matches_engine_at_large_abs_p(p):
             op = GeneralizedMean(lam, p)
             for m in (2, 3, 4):
                 assert delta(power(A, m, op), brute_force_power(A, m, op)) <= 1e-12
+
+
+def _per_walk_power(A, m, op):
+    """The enumeration as it was before prefix sharing: every m-walk
+    folded from scratch. The reference for the oracle's bits."""
+    n = A.rows
+    entries = [[A.entry(i, j) for j in range(n)] for i in range(n)]
+    mu = np.empty((n, n))
+    nu = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            best_mu = -1.0
+            best_nu = 2.0
+            for mids in product(range(n), repeat=m - 1):
+                verts = (i, *mids, j)
+                w = entries[verts[0]][verts[1]]
+                for a, b in zip(verts[1:-1], verts[2:]):
+                    w = oracle._fold(op, w, entries[a][b])
+                best_mu = max(best_mu, w.mu)
+                best_nu = min(best_nu, w.nu)
+            mu[i, j] = best_mu
+            nu[i, j] = best_nu
+    return Ifm(mu, nu)
+
+
+EDGE_OPERATORS = [
+    *(GeneralizedMean(lam, p) for lam in (0.0, 0.25, 0.5, 0.9, 1.0)
+      for p in (16.0, -16.0, -1.0, 0.5, 1.0, 2.0)),
+    *(ConvexCombo(lam) for lam in (0.0, 0.5, 0.9, 1.0)),
+]
+
+
+def _edge_case(rng, n):
+    """A random matrix with exact <1, 0> entries, +0.0 and -0.0
+    components planted among uniform ones, and an operator drawn from
+    the edges of its parameter range (lambda in {0, 1}, |p| = 16,
+    ConvexCombo(1.0)). random_ifm and random_operator draw none of
+    these."""
+    A = random_ifm(rng, n)
+    mu, nu = A.mu.copy(), A.nu.copy()
+    for _ in range(rng.randint(1, n * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        k = rng.random()
+        if k < 0.3:
+            mu[i, j], nu[i, j] = 1.0, 0.0
+        elif k < 0.45:
+            mu[i, j] = 0.0
+        elif k < 0.6:
+            mu[i, j] = -0.0
+        elif k < 0.75:
+            nu[i, j] = -0.0
+        else:
+            mu[i, j], nu[i, j] = -0.0, 1.0
+    return Ifm(mu, nu), rng.choice(EDGE_OPERATORS)
+
+
+def _same_bits(A, B):
+    return A.mu.tobytes() == B.mu.tobytes() and A.nu.tobytes() == B.nu.tobytes()
+
+
+def test_prefix_enumeration_matches_per_walk_bits():
+    rng = random.Random(2024)
+    for m in range(1, 6):
+        for _ in range(30):
+            A, op = _edge_case(rng, rng.randint(1, 4))
+            assert _same_bits(brute_force_power(A, m, op), _per_walk_power(A, m, op)), (A, m, op)
+
+
+@pytest.mark.parametrize("n, m", [(4, 4), (3, 5), (4, 1), (1, 5), (2, 2)])
+def test_each_prefix_is_folded_once(monkeypatch, n, m):
+    calls = []
+    fold = oracle._fold
+
+    def counted(op, a, b):
+        calls.append(op)
+        return fold(op, a, b)
+
+    monkeypatch.setattr(oracle, "_fold", counted)
+    brute_force_power(random_ifm(random.Random(n * m), n), m, GeneralizedMean(0.5, 2.0))
+    # One fold per walk prefix of 2..m edges (1,344 at n = m = 4);
+    # per-walk folding would make n^(m+1) * (m - 1), which is 3,072.
+    assert len(calls) == n * sum(n ** d for d in range(2, m + 1))
+
+
+def test_engine_matches_oracle_on_edge_inputs():
+    rng = random.Random(55)
+    budget = OracleBudget(max_n=5, max_m=5)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        m = rng.randint(2, 5)
+        A, op = _edge_case(rng, n)
+        assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
