@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -150,21 +151,34 @@ def _load_matrix(path):
 def _operator_from_args(args):
     if args.op == "gen-mean":
         if args.p is None:
-            raise ZeroPError("--p is required for the gen-mean operator")
+            # A missing flag is bad input, not a domain error.
+            raise ValueError("--p is required for the gen-mean operator")
         return GeneralizedMean(args.lam, args.p)
     return ConvexCombo(args.lam)
 
 
+# Most points a start:stop:step grid may hold; each point is a whole
+# power sequence, and the list itself is built before any work.
+GRID_MAX_POINTS = 10**6
+
+
 def parse_grid(text):
     """Grid flag: either 'start:stop:step' (inclusive endpoints within
-    1e-12) or a comma-separated value list."""
+    1e-12, at most GRID_MAX_POINTS points) or a comma-separated value
+    list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(x) for x in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
+        # The grid holds floor(q) + 1 points; they are counted before
+        # the list is built, so a tiny step costs nothing.
+        if (stop + 1e-12 - start) / step >= GRID_MAX_POINTS:
+            raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
         values = []
         k = 0
         while True:

@@ -251,6 +251,25 @@ def test_parse_grid_commas():
     assert parse_grid("0.5,1,2") == [0.5, 1.0, 2.0]
 
 
+def test_parse_grid_counts_points_before_building():
+    assert len(parse_grid(f"0:1:{1 / (cli.GRID_MAX_POINTS - 1)}")) == cli.GRID_MAX_POINTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="points"):
+            parse_grid("0:1:1e-12")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("text", ["0:1:nan", "0:inf:1", "nan:1:0.1", "0:1:inf", "-1e308:1e308:1e-308"])
+def test_parse_grid_rejects_unbounded_grids(text):
+    # "0:1:nan" and "0:inf:1" used to loop forever.
+    with pytest.raises(ValueError):
+        parse_grid(text)
+
+
 class TestUnreadableInput:
     def test_directory_exits_2(self, tmp_path, capsys):
         code = main(["converge", "--input", str(tmp_path), "--p", "1"])
@@ -307,6 +326,14 @@ class TestPowerCommand:
                      "--lambda", "0.6", "--p", "0", "--steps", "2"])
         assert code == 3
         assert "nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["power", "--steps", "2"], ["converge"]])
+    def test_missing_p_exits_2(self, a_file, capsys, command):
+        code = main([command[0], "--input", a_file, *command[1:]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--p is required" in captured.err
 
     def test_bad_document_exits_2(self, tmp_path):
         f = tmp_path / "bad.json"
@@ -365,6 +392,15 @@ class TestConvergeCommand:
                      "--lambda", "1", "--max-iter", "50"])
         assert code == 4
         assert "oscillation_period: 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_star_non_finite_lambda_exits_3(self, a_file, capsys, lam):
+        code = main(["converge", "--input", a_file, "--op", "star", f"--lambda={lam}"])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
+    def test_star_lambda_out_of_range_exits_2(self, a_file):
+        assert main(["converge", "--input", a_file, "--op", "star", "--lambda", "1.5"]) == 2
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_exits_2(self, a_file, capsys, eps):
@@ -483,6 +519,17 @@ class TestSweepCommand:
         assert main(["sweep", "--input", a_file, "--lambda-grid", "0.5",
                      "--eps", "inf"]) == 2
         assert "eps" in capsys.readouterr().err
+
+    def test_oversized_grid_exits_2(self, a_file, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--input", a_file, "--lambda-grid", "0:1:1e-12"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "points" in capsys.readouterr().err
+        assert peak < 2**20
 
     def test_empty_grid_exits_2(self, a_file):
         assert main(["sweep", "--input", a_file,

@@ -22,7 +22,8 @@ from ifmpower import (
     row_uniformity,
     step_bound,
 )
-from ifmpower.matrix import BLOCK_BYTES
+from ifmpower import matrix
+from ifmpower.matrix import BLOCK_BYTES, PRUNE_K, PRUNE_MAX_T, PRUNE_PROBE_ROWS
 from ifmpower.oracle import brute_force_power
 
 # 3x3 instance whose powers converge to the universal matrix at
@@ -58,6 +59,15 @@ def test_operator_validation():
         GeneralizedMean(1.5, 1)
     with pytest.raises(ValueError):
         ConvexCombo(-0.2)
+    with pytest.raises(ValueError) as raised:
+        ConvexCombo(1.5)
+    assert not isinstance(raised.value, DomainError)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_convex_combo_rejects_non_finite_lambda(lam):
+    with pytest.raises(DomainError):
+        ConvexCombo(lam)
 
 
 @pytest.mark.parametrize("lam, p", [
@@ -374,3 +384,200 @@ def test_membership_upper_bound_without_critical_tail():
         for n in range(2, 10):
             An = power(M, n, GeneralizedMean(lam, p))
             assert An.mu[:, 1].max() <= (1 - lam**n) ** (1 / p) + 1e-12
+
+
+def _reference_reduce_rows(reduce, combine, x, y):
+    """The kernel before pruning: every entry reduced over every t, in
+    row blocks of about BLOCK_BYTES."""
+    r, t = x.shape
+    c = y.shape[1]
+    step = max(1, BLOCK_BYTES // (8 * t * c))
+    if step >= r:
+        return reduce.reduce(combine(x[:, :, None], y), axis=1)
+    out = np.empty((r, c))
+    for i in range(0, r, step):
+        reduce.reduce(combine(x[i:i + step, :, None], y), axis=1, out=out[i:i + step])
+    return out
+
+
+def _late_input(n, kind, seed):
+    """A random matrix with the structure named by kind: planted +-0.0
+    and <1, 0> entries, constant columns, or a coarse grid full of ties."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, n))
+    v = rng.random((n, n)) * (1 - u)
+    if kind == "signed-zeros":
+        for x in (u, v):
+            x[rng.random((n, n)) < 0.05] = 0.0
+            x[rng.random((n, n)) < 0.05] = -0.0
+        one = rng.random((n, n)) < 0.02
+        u[one], v[one] = 1.0, 0.0
+    elif kind == "constant-columns":
+        cols = rng.random(n) < 0.2
+        u[:, cols] = rng.random(cols.sum())
+        v[:, cols] = rng.random(cols.sum()) * (1 - u[:, cols])
+    elif kind == "coarse-grid":
+        u = np.floor(rng.random((n, n)) * 5) / 5
+        v = np.floor(rng.random((n, n)) * 5) / 5 * (1 - u)
+    return Ifm(u, v)
+
+
+LATE_OPS = [*(GeneralizedMean(0.6, p) for p in (-2.0, -1.0, 0.5, 1.0, 2.0)),
+            *(ConvexCombo(lam) for lam in (0.0, 0.5, 1.0))]
+
+
+class TestPrunedKernel:
+    """_reduce_rows proves most entries from 2 * PRUNE_K candidate t;
+    every output bit must match the kernel that reduces over all t."""
+
+    @pytest.mark.parametrize("kind", ["signed-zeros", "constant-columns", "coarse-grid"])
+    @pytest.mark.parametrize("n", [64, 100, 150])
+    def test_late_iterates_bit_identical(self, monkeypatch, n, kind):
+        A = _late_input(n, kind, n)
+        for op in LATE_OPS:
+            X = power(A, 20, op)
+            got = compose(X, A, op)
+            with monkeypatch.context() as m:
+                m.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+                want = compose(X, A, op)
+            assert got.mu.tobytes() == want.mu.tobytes(), op
+            assert got.nu.tobytes() == want.nu.tobytes(), op
+
+    def test_late_iterate_mostly_certified(self):
+        # Every entry outside the candidates costs t combine terms, so
+        # fewer than 10% * r * c * t terms beyond the candidate and bound
+        # grids means at least 90% of the entries were certified.
+        n = 150
+        A = _late_input(n, "constant-columns", n)
+        op = GeneralizedMean(0.6, 2.0)
+        X = power(A, 20, op)
+        x, y = op.lam * X.mu**op.p, (1 - op.lam) * A.mu**op.p
+        terms = []
+
+        def counted_add(a, b):
+            out = np.add(a, b)
+            terms.append(out.size)
+            return out
+
+        got = matrix._reduce_rows(np.maximum, counted_add, x, y)
+        assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
+        assert sum(terms) < n * n * (2 * PRUNE_K + 1) + 0.1 * n**3
+
+    def test_every_path_bit_identical(self, monkeypatch):
+        # A min-plus reduction where each row of x and column of y holds
+        # PRUNE_K small entries among large ones, so most entries are
+        # certified. Constant rows meet constant columns in ties that
+        # the strict bound cannot prove: two such rows after the probe
+        # are recomputed entry by entry, and the last two row blocks, all
+        # constant, are reduced in full. Rows and columns holding +-0.0 at
+        # the same three t give zero minima whose sign depends on the
+        # order of the reduce.
+        rng = np.random.default_rng(8)
+        n = PRUNE_MAX_T
+        step = BLOCK_BYTES // (8 * n * n)  # rows per block after the probe
+        last = n - step - (n - PRUNE_PROBE_ROWS) % step  # start of the last two blocks
+        zt = np.array([5, 102, 199])
+        zero_rows, zero_cols = [*range(30, 40), 50, 51], [0, 1, 2, *range(100, 110)]
+
+        def dominant(zero_lines):
+            v = rng.random((n, n)) * 0.1 + 0.9
+            for k in range(n):
+                small = rng.choice(np.setdiff1d(np.arange(n), zt), PRUNE_K, replace=False)
+                v[k, small] = rng.random(PRUNE_K) * 0.01
+                if k in zero_lines:
+                    v[k, small[:3]] = 0.95
+                    v[k, zt] = np.where(rng.random(3) < 0.5, 0.0, -0.0)
+            return v
+
+        x, y = dominant(zero_rows), dominant(zero_cols).T.copy()
+        # Entry (70, 180): ties at the (PRUNE_K + 1)-th value pad both
+        # candidate lists with t = 0, whose term -0.0 then comes last,
+        # while the full reduce ends on the +0.0 term at t = 50.
+        ties = np.arange(60, 60 + PRUNE_K - 1)
+        x[70] = y[:, 180] = 0.95
+        x[70, ties] = y[ties, 180] = 0.005
+        x[70, [0, 50]] = -0.0, 0.0
+        y[[0, 50], 180] = -0.0
+        # Entry (120, 190), the only zero of its row: a one-column span
+        # would reduce these six terms to -0.0, the full reduce to +0.0.
+        zt6 = [57, 58, 69, 87, 120, 181]
+        x[120, zt6] = 0.0, -0.0, -0.0, -0.0, 0.0, 0.0
+        y[zt6, 190] = -0.0
+        y[:, 150:170] = 0.95
+        x[[20, 90]] = 0.95
+        x[last:] = 0.95
+        combines, full_rows = [], []
+
+        def traced_add(a, b):
+            combines.append((a.shape, b.shape))
+            return np.add(a, b)
+
+        full = matrix._reduce_full
+
+        def spy(reduce, combine, x, y, out=None):
+            full_rows.append(x.shape[0])
+            return full(reduce, combine, x, y, out)
+
+        monkeypatch.setattr(matrix, "_reduce_full", spy)
+        got = matrix._reduce_rows(np.minimum, traced_add, x, y)
+        want = _reference_reduce_rows(np.minimum, np.add, x, y)
+        assert got.tobytes() == want.tobytes()
+        zeros = got == 0
+        assert zeros.sum() == len(zero_rows) * len(zero_cols) + 2
+        assert not np.signbit(got[70, 180]) and not np.signbit(got[120, 190])
+        assert 0 < np.signbit(got[zeros]).sum() < zeros.sum()
+        assert full_rows == [step, n - last - step]  # the constant blocks, in full
+        assert any(len(a) == 2 and a == b for a, b in combines)  # entry by entry
+        assert any(a == (1, n, 1) for a, b in combines)  # zero minima on a column span
+
+    @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), ConvexCombo(0.5)])
+    def test_first_step_declines(self, monkeypatch, op):
+        # A random A o A fails the probe and runs the full kernel once.
+        A = _random_ifm(100, 6)
+        calls = []
+        full = matrix._reduce_full
+
+        def spy(reduce, combine, x, y, out=None):
+            calls.append(x.shape[0])
+            return full(reduce, combine, x, y, out)
+
+        monkeypatch.setattr(matrix, "_reduce_full", spy)
+        got = compose(A, A, op)
+        assert calls == [100, 100]
+        monkeypatch.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+        assert got == compose(A, A, op)
+
+    def test_pruned_compose_memory_bounded(self, monkeypatch):
+        # Pruning must not raise the peak above that of the kernel that
+        # reduces over all t, at the largest size it prunes.
+        n = PRUNE_MAX_T
+        A = _late_input(n, "constant-columns", 3)
+        op = GeneralizedMean(0.6, 1.0)
+        X = power(A, 12, op)
+        full_rows = []
+        full = matrix._reduce_full
+
+        def spy(reduce, combine, x, y, out=None):
+            full_rows.append(x.shape[0])
+            return full(reduce, combine, x, y, out)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                compose(X, A, op)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(matrix, "_reduce_full", spy)
+        pruned = peak()
+        assert full_rows == []
+        monkeypatch.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+        assert pruned <= peak()
+
+    def test_longest_reductions_not_pruned(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(matrix, "_top", lambda *a: calls.append(a))
+        A = _random_ifm(PRUNE_MAX_T + 1, 7)
+        compose(A, A, GeneralizedMean(0.6, 1.0))
+        assert calls == []

@@ -17,7 +17,7 @@ from ifmpower import (
     differential_check,
     power,
 )
-from ifmpower import oracle
+from ifmpower import matrix, oracle
 from ifmpower.oracle import random_ifm
 
 A3 = Ifm.from_pairs([
@@ -197,3 +197,31 @@ def test_engine_matches_oracle_on_edge_inputs():
         m = rng.randint(2, 5)
         A, op = _edge_case(rng, n)
         assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
+
+
+@pytest.mark.parametrize("max_miss", [0.05, 1.0])
+def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, max_miss):
+    # The oracle reaches n <= 5 only, far below PRUNE_MIN_T. With the
+    # activation constants lowered, compose prunes at these sizes too;
+    # at max_miss = 1.0 no probe or row block declines, so every entry
+    # the bound cannot prove is recomputed one by one.
+    monkeypatch.setattr(matrix, "PRUNE_K", 1)
+    monkeypatch.setattr(matrix, "PRUNE_MIN_T", 2)
+    monkeypatch.setattr(matrix, "PRUNE_PROBE_ROWS", 1)
+    monkeypatch.setattr(matrix, "PRUNE_MAX_MISS", max_miss)
+    pruned = []
+    top = matrix._top
+
+    def spy(v, largest):
+        pruned.append(v.shape)
+        return top(v, largest)
+
+    monkeypatch.setattr(matrix, "_top", spy)
+    rng = random.Random(56)
+    budget = OracleBudget(max_n=5, max_m=5)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        m = rng.randint(2, 5)
+        A, op = _edge_case(rng, n)
+        assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
+    assert len(pruned) > 300
