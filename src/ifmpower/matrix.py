@@ -242,7 +242,9 @@ def _reduce_rows(reduce, combine, x, y):
     -0.0 a tie keeps depends on the layout of the reduce's operand;
     zeros are recomputed in _reduce_full's call shape, on a contiguous
     span of at least two columns (over one column numpy runs a
-    different reduce loop).
+    different reduce loop). The full reduce's operand takes its layout
+    from x and y, and a span reproduces its zeros only when both are
+    C-ordered, so other layouts are not pruned.
 
     Rows are taken in _reduce_full's row blocks, after a probe of the
     first PRUNE_PROBE_ROWS rows. When more than PRUNE_MAX_MISS of the
@@ -252,7 +254,8 @@ def _reduce_rows(reduce, combine, x, y):
     """
     r, t = x.shape
     c = y.shape[1]
-    if not PRUNE_MIN_T <= t <= PRUNE_MAX_T:
+    if not (PRUNE_MIN_T <= t <= PRUNE_MAX_T and x.flags.c_contiguous
+            and y.flags.c_contiguous):
         return _reduce_full(reduce, combine, x, y)
     largest = reduce is np.maximum
     beats = np.greater if largest else np.less

@@ -575,6 +575,29 @@ class TestPrunedKernel:
         monkeypatch.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
         assert pruned <= peak()
 
+    def test_fortran_ordered_factor_bit_identical(self, monkeypatch):
+        # A Fortran-ordered right factor changes the layout of the full
+        # reduce, and with it the sign that some zero minima keep.
+        rng = np.random.default_rng(1)
+        n = int(rng.integers(64, 120))
+        u = rng.random((n, n))
+        v = rng.random((n, n)) * (1 - u)
+        for x in (u, v):
+            x[rng.random((n, n)) < 0.01] = 0.0
+            x[rng.random((n, n)) < 0.01] = -0.0
+        cols = rng.random(n) < 0.2
+        u[:, cols] = rng.random(cols.sum())
+        v[:, cols] = rng.random(cols.sum()) * (1 - u[:, cols])
+        A = Ifm(np.asfortranarray(u), np.asfortranarray(v))
+        op = ConvexCombo(0.5)
+        with monkeypatch.context() as m:
+            m.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+            X = power(A, 10, op)
+            want = compose(X, A, op)
+        got = compose(X, A, op)
+        assert got.mu.tobytes() == want.mu.tobytes()
+        assert got.nu.tobytes() == want.nu.tobytes()
+
     def test_longest_reductions_not_pruned(self, monkeypatch):
         calls = []
         monkeypatch.setattr(matrix, "_top", lambda *a: calls.append(a))
