@@ -28,7 +28,6 @@ from .errors import (
     MismatchFoundError,
     ParseError,
     ValidationError,
-    ZeroPError,
 )
 from .ifn import SUM_TOL, Ifn
 from .matrix import (
@@ -301,8 +300,6 @@ def cmd_sweep(args):
     for lam in sorted(lambdas):
         for p in sorted(ps, key=lambda x: (x is None, x)):
             if args.op == "gen-mean":
-                if p == 0:
-                    raise ZeroPError("p must be nonzero")
                 op = GeneralizedMean(lam, p)
             else:
                 op = ConvexCombo(lam)

@@ -101,13 +101,19 @@ def harmonic():
 
 
 class Ifm:
-    """A rectangular grid of <mu, nu> pairs."""
+    """A rectangular grid of <mu, nu> pairs.
+
+    Each component is a private, read-only copy of the input. Adding
+    0.0 makes that copy and turns -0.0 into +0.0, so no matrix holds a
+    negative zero and every max or min over its entries is the same
+    float in any order.
+    """
 
     __slots__ = ("mu", "nu")
 
     def __init__(self, mu, nu):
-        mu = np.asarray(mu, dtype=np.float64)
-        nu = np.asarray(nu, dtype=np.float64)
+        mu = np.asarray(mu, dtype=np.float64) + 0.0
+        nu = np.asarray(nu, dtype=np.float64) + 0.0
         if mu.ndim != 2 or mu.shape != nu.shape:
             raise DimensionMismatchError(
                 f"component grids must share a 2-D shape, got {mu.shape} and {nu.shape}"
@@ -237,14 +243,8 @@ def _reduce_rows(reduce, combine, x, y):
     2 * PRUNE_K candidates beats the bound strictly is the full reduce,
     bit for bit: the winning term is computed by the same elementwise
     operations. Entries the bound cannot prove are reduced over every t
-    again, one by one: a non-zero result is the same float whatever the
-    order of the reduce. A zero result is not, since which of +0.0 and
-    -0.0 a tie keeps depends on the layout of the reduce's operand;
-    zeros are recomputed in _reduce_full's call shape, on a contiguous
-    span of at least two columns (over one column numpy runs a
-    different reduce loop). The full reduce's operand takes its layout
-    from x and y, and a span reproduces its zeros only when both are
-    C-ordered, so other layouts are not pruned.
+    again, one by one: with no -0.0 among the terms (see Ifm), the
+    result is the same float whatever the order of the reduce.
 
     Rows are taken in _reduce_full's row blocks, after a probe of the
     first PRUNE_PROBE_ROWS rows. When more than PRUNE_MAX_MISS of the
@@ -254,8 +254,7 @@ def _reduce_rows(reduce, combine, x, y):
     """
     r, t = x.shape
     c = y.shape[1]
-    if not (PRUNE_MIN_T <= t <= PRUNE_MAX_T and x.flags.c_contiguous
-            and y.flags.c_contiguous):
+    if not PRUNE_MIN_T <= t <= PRUNE_MAX_T:
         return _reduce_full(reduce, combine, x, y)
     largest = reduce is np.maximum
     beats = np.greater if largest else np.less
@@ -271,7 +270,7 @@ def _reduce_rows(reduce, combine, x, y):
         reduce.reduce(combine(x_top_val[:, :, None], y[x_top]), axis=1, out=cand)
         reduce(cand, reduce.reduce(combine(np.take(xb, y_top, axis=1), y_top_val), axis=1),
                out=cand)
-        need = ~beats(cand, combine(x_next[:, None], y_next)) | (cand == 0)
+        need = ~beats(cand, combine(x_next[:, None], y_next))
         if np.count_nonzero(need) > PRUNE_MAX_MISS * need.size:
             if i == 0:
                 return _reduce_full(reduce, combine, x, y, out)
@@ -280,13 +279,6 @@ def _reduce_rows(reduce, combine, x, y):
         if need.any():
             mi, mj = np.nonzero(need)
             cand[mi, mj] = reduce.reduce(combine(xb[mi], y[:, mj].T), axis=1)
-            zero = cand == 0
-            for row in np.flatnonzero(zero.any(axis=1)):
-                cols = np.flatnonzero(zero[row])
-                j1 = min(c, max(cols[-1] + 1, cols[0] + 2))
-                j0 = max(0, min(cols[0], j1 - 2))
-                reduce.reduce(combine(xb[row:row + 1, :, None], y[:, j0:j1]), axis=1,
-                              out=cand[row:row + 1, j0:j1])
     return out
 
 
@@ -305,8 +297,7 @@ def compose(A, B, op):
     ConvexCombo), so _reduce_rows proves most entries of a long
     reduction from the PRUNE_K extreme terms of their row and column:
     an entry whose candidate beats the strict bound formed from the
-    next-largest terms is exact. Entries the bound cannot prove, and
-    zero results, whose sign depends on the order of the reduce, are
+    next-largest terms is exact. Entries the bound cannot prove are
     reduced over every t; the output is bit-identical either way.
     """
     if A.cols != B.rows:
@@ -330,9 +321,8 @@ def compose(A, B, op):
 
             def s(x, w):
                 # x^p is +inf for x = 0 (or tiny x) when p < 0; it maps
-                # back to 0. Adding 0.0 turns -0.0 into +0.0, whose power
-                # is +inf, not -inf, for odd integer p < 0.
-                return w * ((x + 0.0) if p < 0 else x) ** p
+                # back to 0.
+                return w * x ** p
 
             with np.errstate(divide="ignore", over="ignore"):
                 mu = _reduce_rows(hi, np.add, s(A.mu, lam), s(B.mu, 1.0 - lam))
@@ -347,8 +337,9 @@ def compose(A, B, op):
 
         mu = _reduce_rows(np.maximum, mean(np.minimum), A.mu, B.mu)
         nu = _reduce_rows(np.minimum, mean(np.maximum), A.nu, B.nu)
-    # Guard against float spill just outside [0, 1].
-    return Ifm(mu.clip(0.0, 1.0), nu.clip(0.0, 1.0))
+    # Guard against float spill just outside [0, 1]; mu and nu are
+    # fresh, and Ifm copies them anyway.
+    return Ifm(mu.clip(0.0, 1.0, out=mu), nu.clip(0.0, 1.0, out=nu))
 
 
 def power(A, k, op):

@@ -123,6 +123,10 @@ def differential_check(trials, budget=OracleBudget(), seed=0, tol=1e-12,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    # Trials draw n and m from 2 up to the budget.
+    for name, bound in (("max_n", budget.max_n), ("max_m", budget.max_m)):
+        if bound < 2:
+            raise ValueError(f"budget {name} must be >= 2, got {bound}")
     rng = random.Random(seed)
     report = DifferentialReport(trials=trials)
     for t in range(trials):

@@ -327,6 +327,28 @@ class TestPowerCommand:
         assert code == 3
         assert "nonzero" in capsys.readouterr().err
 
+    def test_negative_zero_prints_as_zero(self, tmp_path, capsys):
+        f = tmp_path / "z.json"
+        f.write_text(_doc([[{"mu": -0.0, "nu": 0.5}, {"mu": 0.5, "nu": -0.0}],
+                           [{"mu": 1, "nu": 0}, {"mu": 0, "nu": 1}]]))
+        code = main(["power", "--input", str(f), "--op", "star",
+                     "--lambda", "0.5", "--steps", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert json.loads(out)["entries"][0] == [{"mu": 0.0, "nu": 0.5},
+                                                 {"mu": 0.5, "nu": 0.0}]
+
+    @pytest.mark.parametrize("lam, want", [("1.5", 2), ("0.5", 3)])
+    def test_zero_p_exit_code_agrees(self, a_file, capsys, lam, want):
+        # lambda is checked before p: lambda = 1.5 is bad input whatever
+        # p is, and p = 0 alone is a domain error.
+        for argv in (["power", "--lambda", lam, "--p", "0", "--steps", "2"],
+                     ["converge", "--lambda", lam, "--p", "0"],
+                     ["sweep", "--lambda-grid", lam, "--p-grid", "0"]):
+            assert main([*argv, "--input", a_file]) == want, argv[0]
+            assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("command", [["power", "--steps", "2"], ["converge"]])
     def test_missing_p_exits_2(self, a_file, capsys, command):
         code = main([command[0], "--input", a_file, *command[1:]])

@@ -267,7 +267,7 @@ class TestExportDot:
         assert "⟨0.50000,0.40000⟩" in dot
 
     def test_golden_text(self):
-        # -0.0 keeps its sign in labels; <0, 1> entries are not drawn;
+        # -0.0 is stored, and labelled, as 0.0; <0, 1> entries are not drawn;
         # only vertex 1 lies on a critical cycle.
         M = Ifm(
             [[1.0, -0.0, 0.0], [0.0, 0.25, 1.0], [1.0, 0.5, 0.0]],
@@ -279,10 +279,10 @@ class TestExportDot:
             '  2 [label="v2", shape=circle];\n'
             '  3 [label="v3", shape=circle];\n'
             '  1 -> 1 [label="⟨1.00000,0.00000⟩", style=bold, penwidth=2];\n'
-            '  1 -> 2 [label="⟨-0.00000,0.50000⟩"];\n'
+            '  1 -> 2 [label="⟨0.00000,0.50000⟩"];\n'
             '  2 -> 2 [label="⟨0.25000,0.75000⟩"];\n'
             '  2 -> 3 [label="⟨1.00000,0.00000⟩", style=bold, penwidth=2];\n'
             '  3 -> 1 [label="⟨1.00000,0.00000⟩", style=bold, penwidth=2];\n'
-            '  3 -> 2 [label="⟨0.50000,-0.00000⟩"];\n'
+            '  3 -> 2 [label="⟨0.50000,0.00000⟩"];\n'
             "}\n"
         )

@@ -90,6 +90,16 @@ def test_power_sequence_rejects_bad_eps(eps):
         power_sequence(Ifm.universal(2), GeneralizedMean(0.5, 1.0), eps=eps)
 
 
+def test_ifm_stores_a_private_copy_with_positive_zeros():
+    mu, nu = np.array([[-0.0, 0.5]]), np.array([[0.5, -0.0]])
+    M = Ifm(mu, nu)
+    assert not np.signbit(M.mu).any() and not np.signbit(M.nu).any()
+    assert mu.flags.writeable and nu.flags.writeable
+    mu[0, 1] = nu[0, 0] = 0.25
+    assert M.mu.tolist() == [[0.0, 0.5]] and M.nu.tolist() == [[0.5, 0.0]]
+    assert not M.mu.flags.writeable and not M.nu.flags.writeable
+
+
 def test_from_pairs_ragged():
     with pytest.raises(DimensionMismatchError):
         Ifm.from_pairs([[(1, 0), (0, 1)], [(1, 0)]])
@@ -106,15 +116,11 @@ def test_non_finite_components_rejected(bad):
 def _broadcast_compose(A, B, op):
     """Reference: the n^3 broadcast formula, with one power mean per
     (i, t, j) cell, that compose evaluated before the row-blocked
-    s = x^p kernel; lam in (0, 1) for GeneralizedMean. For p < 0 it
-    reads -0.0 as +0.0: the old formula took (-0.0)^p = -inf for odd
-    integer p and then dropped or NaN-ed the zero."""
+    s = x^p kernel; lam in (0, 1) for GeneralizedMean."""
     if isinstance(op, GeneralizedMean):
         lam, p = op.lam, op.p
 
         def grid(x, y):
-            if p < 0:
-                x, y = x + 0.0, y + 0.0
             with np.errstate(divide="ignore"):
                 xp, yp = x**p, y**p
                 return (lam * xp[:, :, None] + (1.0 - lam) * yp[None, :, :]) ** (1.0 / p)
@@ -469,9 +475,8 @@ class TestPrunedKernel:
         # certified. Constant rows meet constant columns in ties that
         # the strict bound cannot prove: two such rows after the probe
         # are recomputed entry by entry, and the last two row blocks, all
-        # constant, are reduced in full. Rows and columns holding +-0.0 at
-        # the same three t give zero minima whose sign depends on the
-        # order of the reduce.
+        # constant, are reduced in full. Rows and columns holding 0.0 at
+        # the same three t give zero minima.
         rng = np.random.default_rng(8)
         n = PRUNE_MAX_T
         step = BLOCK_BYTES // (8 * n * n)  # rows per block after the probe
@@ -486,23 +491,17 @@ class TestPrunedKernel:
                 v[k, small] = rng.random(PRUNE_K) * 0.01
                 if k in zero_lines:
                     v[k, small[:3]] = 0.95
-                    v[k, zt] = np.where(rng.random(3) < 0.5, 0.0, -0.0)
+                    v[k, zt] = 0.0
             return v
 
         x, y = dominant(zero_rows), dominant(zero_cols).T.copy()
         # Entry (70, 180): ties at the (PRUNE_K + 1)-th value pad both
-        # candidate lists with t = 0, whose term -0.0 then comes last,
-        # while the full reduce ends on the +0.0 term at t = 50.
+        # candidate lists with t = 0.
         ties = np.arange(60, 60 + PRUNE_K - 1)
         x[70] = y[:, 180] = 0.95
         x[70, ties] = y[ties, 180] = 0.005
-        x[70, [0, 50]] = -0.0, 0.0
-        y[[0, 50], 180] = -0.0
-        # Entry (120, 190), the only zero of its row: a one-column span
-        # would reduce these six terms to -0.0, the full reduce to +0.0.
-        zt6 = [57, 58, 69, 87, 120, 181]
-        x[120, zt6] = 0.0, -0.0, -0.0, -0.0, 0.0, 0.0
-        y[zt6, 190] = -0.0
+        x[70, [0, 50]] = 0.0
+        y[[0, 50], 180] = 0.0
         y[:, 150:170] = 0.95
         x[[20, 90]] = 0.95
         x[last:] = 0.95
@@ -523,12 +522,9 @@ class TestPrunedKernel:
         want = _reference_reduce_rows(np.minimum, np.add, x, y)
         assert got.tobytes() == want.tobytes()
         zeros = got == 0
-        assert zeros.sum() == len(zero_rows) * len(zero_cols) + 2
-        assert not np.signbit(got[70, 180]) and not np.signbit(got[120, 190])
-        assert 0 < np.signbit(got[zeros]).sum() < zeros.sum()
+        assert zeros.sum() == len(zero_rows) * len(zero_cols) + 1
         assert full_rows == [step, n - last - step]  # the constant blocks, in full
         assert any(len(a) == 2 and a == b for a, b in combines)  # entry by entry
-        assert any(a == (1, n, 1) for a, b in combines)  # zero minima on a column span
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), ConvexCombo(0.5)])
     def test_first_step_declines(self, monkeypatch, op):
@@ -576,8 +572,8 @@ class TestPrunedKernel:
         assert pruned <= peak()
 
     def test_fortran_ordered_factor_bit_identical(self, monkeypatch):
-        # A Fortran-ordered right factor changes the layout of the full
-        # reduce, and with it the sign that some zero minima keep.
+        # A Fortran-ordered right factor is pruned like a C-ordered one
+        # and keeps the full reduce's bits.
         rng = np.random.default_rng(1)
         n = int(rng.integers(64, 120))
         u = rng.random((n, n))
@@ -590,11 +586,22 @@ class TestPrunedKernel:
         v[:, cols] = rng.random(cols.sum()) * (1 - u[:, cols])
         A = Ifm(np.asfortranarray(u), np.asfortranarray(v))
         op = ConvexCombo(0.5)
+        assert A.mu.flags.f_contiguous and not A.mu.flags.c_contiguous
         with monkeypatch.context() as m:
             m.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
             X = power(A, 10, op)
             want = compose(X, A, op)
+        full_calls = []
+        full = matrix._reduce_full
+
+        def spy(reduce, combine, x, y, out=None):
+            full_calls.append((reduce, x.shape[0]))
+            return full(reduce, combine, x, y, out)
+
+        monkeypatch.setattr(matrix, "_reduce_full", spy)
         got = compose(X, A, op)
+        # mu is pruned; nu, whose limit ties at 0, declines at the probe.
+        assert full_calls == [(np.minimum, n)]
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
 

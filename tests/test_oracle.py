@@ -74,6 +74,15 @@ def test_trials_precondition():
         differential_check(0, seed=1)
 
 
+@pytest.mark.parametrize("budget, name", [
+    (OracleBudget(max_n=1), "max_n"), (OracleBudget(max_m=1), "max_m"),
+])
+def test_budget_below_two_rejected(budget, name):
+    # Trials draw n and m from 2 up to the budget.
+    with pytest.raises(ValueError, match=f"{name} must be >= 2, got 1"):
+        differential_check(5, budget, seed=1)
+
+
 def test_differential_run_is_clean_and_deterministic():
     r1 = differential_check(25, seed=7)
     r2 = differential_check(25, seed=7)
