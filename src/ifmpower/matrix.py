@@ -21,15 +21,21 @@ from .ifn import ComponentPair, Ifn
 # rather than float drift.
 SUM_VIOLATION_TOL = 1e-9
 
-# Bytes of float64 temporary per row block in compose, so that no
-# composition allocates an n^3 array.
+# Bytes of float64 buffer per chunk of rows in _reduce_full. The buffer
+# and the tile of the right factor it meets, about 1 MB together, stay
+# inside a 2 MB per-core L2 cache, and no composition allocates an n^3
+# array.
+CHUNK_BYTES = 512 * 2**10
+
+# Bytes of (rows, t, c) terms per row group of the pruned kernel
+# (_reduce_rows), over which its miss share is counted.
 BLOCK_BYTES = 8 * 2**20
 
 # Pruned reductions in compose (see _reduce_rows): candidate t per row
 # of the left factor and per column of the right one; the shortest and
 # the longest reduction that is pruned; the rows probed before pruning
 # a call; and the share of entries needing a full reduce above which
-# the call, or a row block, is reduced in full. PRUNE_MAX_T is a size
+# the call, or a row group, is reduced in full. PRUNE_MAX_T is a size
 # rule: pruning at t = 300 left the benchmark process's peak RSS about
 # 6 MB higher in most runs, and no change to the kernel's own
 # allocations removed that (CHANGES.md).
@@ -189,22 +195,55 @@ class Ifm:
         return f"Ifm[{self.rows}x{self.cols}: {body}]"
 
 
-def _reduce_full(reduce, combine, x, y, out=None):
-    """out[i, j] = reduce over t of combine(x[i, t], y[t, j]), over
-    every t.
+class _Right:
+    """One component of a right factor, prepared once for all the
+    products that reduce over it with `reduce`:
 
-    Rows of x are taken in blocks whose (rows, t, c) float64 temporary
-    is about BLOCK_BYTES; one block covering every row skips the loop.
+    - y, its terms;
+    - tile, `rows` copies of y side by side, so that entry
+      [t, i * c + j] is y[t, j]; rows is the number of left-factor rows
+      in one _reduce_full chunk, at most r, the left factor's row count;
+    - top, the candidate partition of y's columns for _reduce_rows, or
+      None where a reduction over t terms is not pruned.
+    """
+
+    __slots__ = ("y", "rows", "tile", "top")
+
+    def __init__(self, y, r, reduce):
+        t, c = y.shape
+        self.y = y
+        self.rows = max(1, min(r, CHUNK_BYTES // (8 * t * c)))
+        # np.concatenate has a third of np.tile's fixed cost, which a
+        # fold of tiny matrices pays once per component.
+        self.tile = np.concatenate([y] * self.rows, axis=1)
+        self.top = None
+        if PRUNE_MIN_T <= t <= PRUNE_MAX_T:
+            top, val, nxt = _top(y.T, reduce is np.maximum)
+            self.top = top.T.copy(), val.T.copy(), nxt
+
+
+def _reduce_full(reduce, combine, x, right, out=None):
+    """out[i, j] = reduce over t of combine(x[i, t], y[t, j]), over
+    every t, where y is right.y.
+
+    Rows of x are taken right.rows at a time, a chunk whose buffer
+    fits CHUNK_BYTES (or holds one row). repeat lays a chunk out as
+    a contiguous (t, rows * c) buffer with entry [t, i * c + j] =
+    x[i, t]; combine(buf, tile, out=buf) meets it with right.tile in
+    place, and the reduce over its first axis writes the chunk's
+    (rows, c) view of out. Every ufunc thus runs one long contiguous
+    inner loop, where broadcasting x[:, :, None] against y would run
+    r * t loops of c elements.
     """
     r, t = x.shape
-    c = y.shape[1]
-    step = max(1, BLOCK_BYTES // (8 * t * c))
+    c = right.y.shape[1]
     if out is None:
-        if step >= r:
-            return reduce.reduce(combine(x[:, :, None], y), axis=1)
         out = np.empty((r, c))
-    for i in range(0, r, step):
-        reduce.reduce(combine(x[i:i + step, :, None], y), axis=1, out=out[i:i + step])
+    for i in range(0, r, right.rows):
+        xb = x[i:i + right.rows]
+        buf = xb.T.repeat(c, axis=1)
+        combine(buf, right.tile[:, :buf.shape[1]], out=buf)
+        reduce.reduce(buf.reshape(t, len(xb), c), axis=0, out=out[i:i + len(xb)])
     return out
 
 
@@ -227,40 +266,41 @@ def _top(v, largest):
     return top, v[np.arange(r)[:, None], top], nxt[:, 0]
 
 
-def _reduce_rows(reduce, combine, x, y):
-    """out[i, j] = reduce over t of combine(x[i, t], y[t, j]), where
-    reduce is np.maximum or np.minimum and combine is monotone
-    non-decreasing in both arguments.
+def _reduce_rows(reduce, combine, x, right):
+    """out[i, j] = reduce over t of combine(x[i, t], y[t, j]), where y
+    is right.y, reduce is np.maximum or np.minimum and combine is
+    monotone non-decreasing in both arguments.
 
-    Reductions of PRUNE_MIN_T to PRUNE_MAX_T terms are pruned by a
-    certificate (the threshold rule of top-k aggregation), written here
-    for max; min is the mirror image. Let S_i hold the PRUNE_K t with
-    the largest x[i, t] and T_j those with the largest y[t, j]; every
-    other t has x[i, t] <= x'_i and y[t, j] <= y'_j, the (PRUNE_K + 1)-th
-    largest values. Floating-point +, min, max and scaling by a
-    non-negative constant are monotone, so combine(x'_i, y'_j) bounds
-    every term outside S_i | T_j, and an entry whose reduce over those
-    2 * PRUNE_K candidates beats the bound strictly is the full reduce,
-    bit for bit: the winning term is computed by the same elementwise
-    operations. Entries the bound cannot prove are reduced over every t
-    again, one by one: with no -0.0 among the terms (see Ifm), the
-    result is the same float whatever the order of the reduce.
+    Where right carries a partition (reductions of PRUNE_MIN_T to
+    PRUNE_MAX_T terms), entries are proven by a certificate (the
+    threshold rule of top-k aggregation), written here for max; min is
+    the mirror image. Let S_i hold the PRUNE_K t with the largest
+    x[i, t] and T_j those with the largest y[t, j]; every other t has
+    x[i, t] <= x'_i and y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest
+    values. Floating-point +, min, max and scaling by a non-negative
+    constant are monotone, so combine(x'_i, y'_j) bounds every term
+    outside S_i | T_j, and an entry whose reduce over those 2 * PRUNE_K
+    candidates reaches the bound is the full reduce, bit for bit: with
+    no -0.0 and no NaN among the terms (see Ifm), a max or min is the
+    same float whichever equal term it keeps. Entries the bound cannot
+    prove are reduced over every t again, one by one.
 
-    Rows are taken in _reduce_full's row blocks, after a probe of the
-    first PRUNE_PROBE_ROWS rows. When more than PRUNE_MAX_MISS of the
-    probe's entries need the full reduce (as on a first step A o A),
-    the whole call is reduced in full; a later block past that share is
-    reduced in full on its own.
+    Rows are taken in groups of about BLOCK_BYTES of (rows, t, c)
+    terms, after a probe of the first PRUNE_PROBE_ROWS rows; this
+    grouping sets only the miss share, while _reduce_full's chunks
+    follow CHUNK_BYTES. When more than PRUNE_MAX_MISS of the probe's
+    entries need the full reduce (as on a first step A o A), the whole
+    call is reduced in full; a later group past that share is reduced
+    in full on its own.
     """
+    if right.top is None:
+        return _reduce_full(reduce, combine, x, right)
     r, t = x.shape
+    y = right.y
     c = y.shape[1]
-    if not PRUNE_MIN_T <= t <= PRUNE_MAX_T:
-        return _reduce_full(reduce, combine, x, y)
     largest = reduce is np.maximum
-    beats = np.greater if largest else np.less
-    # Candidates per column of y, as (PRUNE_K, c) rows.
-    y_top, y_top_val, y_next = _top(y.T, largest)
-    y_top, y_top_val = y_top.T.copy(), y_top_val.T.copy()
+    proven = np.greater_equal if largest else np.less_equal
+    y_top, y_top_val, y_next = right.top
     out = np.empty((r, c))
     step = max(1, BLOCK_BYTES // (8 * t * c))
     bounds = [0, *range(min(PRUNE_PROBE_ROWS, r), r, step), r]
@@ -270,16 +310,74 @@ def _reduce_rows(reduce, combine, x, y):
         reduce.reduce(combine(x_top_val[:, :, None], y[x_top]), axis=1, out=cand)
         reduce(cand, reduce.reduce(combine(np.take(xb, y_top, axis=1), y_top_val), axis=1),
                out=cand)
-        need = ~beats(cand, combine(x_next[:, None], y_next))
+        need = ~proven(cand, combine(x_next[:, None], y_next))
         if np.count_nonzero(need) > PRUNE_MAX_MISS * need.size:
             if i == 0:
-                return _reduce_full(reduce, combine, x, y, out)
-            _reduce_full(reduce, combine, xb, y, cand)
+                return _reduce_full(reduce, combine, x, right, out)
+            _reduce_full(reduce, combine, xb, right, cand)
             continue
         if need.any():
             mi, mj = np.nonzero(need)
             cand[mi, mj] = reduce.reduce(combine(xb[mi], y[:, mj].T), axis=1)
     return out
+
+
+def _star(lam, extreme):
+    """ConvexCombo's combine, lam * extreme(x, y) + (1 - lam) * (x + y) / 2,
+    in place where out is given (x may be out). It keeps the operations
+    of that expression (add, scale by 1 - lam, halve; extreme, scale by
+    lam; add), so its bits hold on subnormal inputs too, where halving
+    (1 - lam) first could round differently."""
+
+    def combine(x, y, out=None):
+        mean = np.add(x, y)
+        mean *= 1.0 - lam
+        mean /= 2.0
+        out = extreme(x, y, out=out)
+        out *= lam
+        out += mean
+        return out
+
+    return combine
+
+
+def _power_terms(x, w, p):
+    # x^p is +inf for x = 0 (or tiny x) when p < 0; it maps back to 0.
+    return w * x ** p
+
+
+def _extremes(p):
+    """The reduces for mu and nu in the s = x^p domain; s -> s^(1/p)
+    decreases for p < 0, which swaps them."""
+    return (np.maximum, np.minimum) if p > 0 else (np.minimum, np.maximum)
+
+
+def _prepare(B, op, r):
+    """B's side of X o B under op for X with r rows: a _Right per
+    component, or None where GeneralizedMean with lam in {0, 1}
+    collapses to one argument."""
+    if isinstance(op, ConvexCombo):
+        return _Right(B.mu, r, np.maximum), _Right(B.nu, r, np.minimum)
+    if op.lam in (0.0, 1.0):
+        return None
+    hi, lo = _extremes(op.p)
+    w = 1.0 - op.lam
+    with np.errstate(divide="ignore", over="ignore"):
+        return (_Right(_power_terms(B.mu, w, op.p), r, hi),
+                _Right(_power_terms(B.nu, w, op.p), r, lo))
+
+
+class _FoldFactor(Ifm):
+    """The right factor A of every step of one fold under op, holding
+    the same components as A and its _prepare data, so that each step's
+    compose skips that work. It lives only as long as the fold."""
+
+    __slots__ = ("op", "right")
+
+    def __init__(self, A, op):
+        self.mu, self.nu = A.mu, A.nu
+        self.op = op
+        self.right = _prepare(A, op, A.rows)
 
 
 def compose(A, B, op):
@@ -292,18 +390,26 @@ def compose(A, B, op):
     and come back as 0), so reducing s first picks the same element as
     reducing the means, and the final power gives the same bits.
 
-    Both families reduce a combine that is monotone in each argument
-    (+ in the s domain; min, max, + and non-negative scaling for
-    ConvexCombo), so _reduce_rows proves most entries of a long
-    reduction from the PRUNE_K extreme terms of their row and column:
-    an entry whose candidate beats the strict bound formed from the
-    next-largest terms is exact. Entries the bound cannot prove are
-    reduced over every t; the output is bit-identical either way.
+    B's side of the work (its s-domain terms, their tiles and candidate
+    partitions; see _prepare) is done once per call, or once per fold
+    when power or power_sequence passes its prepared factor as B. The
+    reduce runs on contiguous chunks in _reduce_full. Both families
+    reduce a combine that is monotone in each argument (+ in the s
+    domain; min, max, + and non-negative scaling for ConvexCombo), so
+    _reduce_rows proves most entries of a long reduction from the
+    PRUNE_K extreme terms of their row and column: an entry whose
+    candidate reaches the bound formed from the next-largest terms is
+    exact. Entries the bound cannot prove are reduced over every t; the
+    output is bit-identical either way.
     """
     if A.cols != B.rows:
         raise DimensionMismatchError(
             f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}"
         )
+    if isinstance(B, _FoldFactor) and B.op is op:
+        right = B.right
+    else:
+        right = _prepare(B, op, A.rows)
     if isinstance(op, GeneralizedMean):
         lam, p = op.lam, op.p
         # lam in {0, 1} stays out of the s domain, where 0 * inf would
@@ -317,26 +423,15 @@ def compose(A, B, op):
             mu = np.repeat(B.mu.max(axis=0)[None, :], A.rows, axis=0)
             nu = np.repeat(B.nu.min(axis=0)[None, :], A.rows, axis=0)
         else:
-            hi, lo = (np.maximum, np.minimum) if p > 0 else (np.minimum, np.maximum)
-
-            def s(x, w):
-                # x^p is +inf for x = 0 (or tiny x) when p < 0; it maps
-                # back to 0.
-                return w * x ** p
-
+            hi, lo = _extremes(p)
             with np.errstate(divide="ignore", over="ignore"):
-                mu = _reduce_rows(hi, np.add, s(A.mu, lam), s(B.mu, 1.0 - lam))
-                nu = _reduce_rows(lo, np.add, s(A.nu, lam), s(B.nu, 1.0 - lam))
+                mu = _reduce_rows(hi, np.add, _power_terms(A.mu, lam, p), right[0])
+                nu = _reduce_rows(lo, np.add, _power_terms(A.nu, lam, p), right[1])
             mu **= 1.0 / p
             nu **= 1.0 / p
     else:
-        lam = op.lam
-
-        def mean(extreme):
-            return lambda x, y: lam * extreme(x, y) + (1.0 - lam) * (x + y) / 2.0
-
-        mu = _reduce_rows(np.maximum, mean(np.minimum), A.mu, B.mu)
-        nu = _reduce_rows(np.minimum, mean(np.maximum), A.nu, B.nu)
+        mu = _reduce_rows(np.maximum, _star(op.lam, np.minimum), A.mu, right[0])
+        nu = _reduce_rows(np.minimum, _star(op.lam, np.maximum), A.nu, right[1])
     # Guard against float spill just outside [0, 1]; mu and nu are
     # fresh, and Ifm copies them anyway.
     return Ifm(mu.clip(0.0, 1.0, out=mu), nu.clip(0.0, 1.0, out=nu))
@@ -349,9 +444,12 @@ def power(A, k, op):
         raise DimensionMismatchError("powers require a square matrix")
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
+    if k == 1:
+        return A
+    right = _FoldFactor(A, op)
     result = A
     for _ in range(k - 1):
-        result = compose(result, A, op)
+        result = compose(result, right, op)
     return result
 
 
@@ -428,23 +526,26 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
     compositions have run.
 
     deltas[i] is delta(A^(i+2), A^(i+1)); bound_trace carries the
-    matching theoretical bound (None where no guarantee holds). When
-    lam = 1 there is no contraction, so exact repeats are detected
-    instead and reported as an oscillation period.
+    matching theoretical bound (None where no guarantee holds).
+    ConvexCombo(1.0) does not contract, so exact repeats are detected
+    instead and reported as an oscillation period. GeneralizedMean with
+    lam in {0, 1} has A^3 = A^2, so it stops at delta = 0 before any
+    repeat could be seen, and is not hashed.
     """
     if not A.is_square():
         raise DimensionMismatchError("powers require a square matrix")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
-    detect_cycles = op.lam == 1.0
+    detect_cycles = isinstance(op, ConvexCombo) and op.lam == 1.0
     seen = {A: 1} if detect_cycles else None
 
     report = ConvergenceReport(limit=A, iterations=0, converged=False)
     report.sum_violations = A.sum_violations()
+    right = _FoldFactor(A, op)
     prev = A
     for m in range(2, max_iter + 2):
-        cur = compose(prev, A, op)
+        cur = compose(prev, right, op)
         d = delta(cur, prev)
         report.iterations = m - 1
         report.deltas.append(d)

@@ -296,6 +296,16 @@ def test_readme_command_lines_parse():
     assert commands == {"power", "converge", "analyze", "sweep", "oracle-check"}
 
 
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    # print(rep.converged, rep.iterations, rep.limit)
+    assert capsys.readouterr().out.startswith("True ")
+
+
 def test_cli_import_leaves_scipy_out():
     # Import time is a benchmarked metric, and scipy alone costs more
     # than the whole package. The child sees this process's sys.path.

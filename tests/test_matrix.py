@@ -23,7 +23,7 @@ from ifmpower import (
     step_bound,
 )
 from ifmpower import matrix
-from ifmpower.matrix import BLOCK_BYTES, PRUNE_K, PRUNE_MAX_T, PRUNE_PROBE_ROWS
+from ifmpower.matrix import BLOCK_BYTES, PRUNE_K, PRUNE_MAX_T, PRUNE_MIN_T, PRUNE_PROBE_ROWS
 from ifmpower.oracle import brute_force_power
 
 # 3x3 instance whose powers converge to the universal matrix at
@@ -406,6 +406,12 @@ def _reference_reduce_rows(reduce, combine, x, y):
     return out
 
 
+def _reference_on_right(reduce, combine, x, right):
+    """_reference_reduce_rows with the signature of _reduce_rows, whose
+    right factor comes prepared."""
+    return _reference_reduce_rows(reduce, combine, x, right.y)
+
+
 def _late_input(n, kind, seed):
     """A random matrix with the structure named by kind: planted +-0.0
     and <1, 0> entries, constant columns, or a coarse grid full of ties."""
@@ -444,7 +450,7 @@ class TestPrunedKernel:
             X = power(A, 20, op)
             got = compose(X, A, op)
             with monkeypatch.context() as m:
-                m.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+                m.setattr(matrix, "_reduce_rows", _reference_on_right)
                 want = compose(X, A, op)
             assert got.mu.tobytes() == want.mu.tobytes(), op
             assert got.nu.tobytes() == want.nu.tobytes(), op
@@ -460,23 +466,24 @@ class TestPrunedKernel:
         x, y = op.lam * X.mu**op.p, (1 - op.lam) * A.mu**op.p
         terms = []
 
-        def counted_add(a, b):
-            out = np.add(a, b)
+        def counted_add(a, b, out=None):
+            out = np.add(a, b, out=out)
             terms.append(out.size)
             return out
 
-        got = matrix._reduce_rows(np.maximum, counted_add, x, y)
+        got = matrix._reduce_rows(np.maximum, counted_add, x, matrix._Right(y, n, np.maximum))
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert sum(terms) < n * n * (2 * PRUNE_K + 1) + 0.1 * n**3
 
     def test_every_path_bit_identical(self, monkeypatch):
         # A min-plus reduction where each row of x and column of y holds
         # PRUNE_K small entries among large ones, so most entries are
-        # certified. Constant rows meet constant columns in ties that
-        # the strict bound cannot prove: two such rows after the probe
-        # are recomputed entry by entry, and the last two row blocks, all
-        # constant, are reduced in full. Rows and columns holding 0.0 at
-        # the same three t give zero minima.
+        # certified. Crossed rows meet crossed columns where every
+        # candidate term lies above the bound, which the other t attain:
+        # two such rows after the probe are recomputed entry by entry,
+        # and the last two row blocks, all crossed, are reduced in full.
+        # Rows and columns holding 0.0 at the same three t give zero
+        # minima.
         rng = np.random.default_rng(8)
         n = PRUNE_MAX_T
         step = BLOCK_BYTES // (8 * n * n)  # rows per block after the probe
@@ -502,14 +509,21 @@ class TestPrunedKernel:
         x[70, ties] = y[ties, 180] = 0.005
         x[70, [0, 50]] = 0.0
         y[[0, 50], 180] = 0.0
+        # A crossed row holds its PRUNE_K smallest entries at t_x and a
+        # crossed column at t_y; each is 1.5 where the other is smallest.
+        t_x, t_y = np.arange(110, 110 + PRUNE_K), np.arange(120, 120 + PRUNE_K)
+        crossed = [20, 90, *range(last, n)]
+        x[crossed] = 0.95
+        x[np.ix_(crossed, t_x)] = 0.9
+        x[np.ix_(crossed, t_y)] = 1.5
         y[:, 150:170] = 0.95
-        x[[20, 90]] = 0.95
-        x[last:] = 0.95
+        y[t_y, 150:170] = 0.9
+        y[t_x, 150:170] = 1.5
         combines, full_rows = [], []
 
-        def traced_add(a, b):
-            combines.append((a.shape, b.shape))
-            return np.add(a, b)
+        def traced_add(a, b, out=None):
+            combines.append((a.shape, b.shape, out))
+            return np.add(a, b, out=out)
 
         full = matrix._reduce_full
 
@@ -518,13 +532,47 @@ class TestPrunedKernel:
             return full(reduce, combine, x, y, out)
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = matrix._reduce_rows(np.minimum, traced_add, x, y)
+        got = matrix._reduce_rows(np.minimum, traced_add, x, matrix._Right(y, n, np.minimum))
         want = _reference_reduce_rows(np.minimum, np.add, x, y)
         assert got.tobytes() == want.tobytes()
         zeros = got == 0
         assert zeros.sum() == len(zero_rows) * len(zero_cols) + 1
-        assert full_rows == [step, n - last - step]  # the constant blocks, in full
-        assert any(len(a) == 2 and a == b for a, b in combines)  # entry by entry
+        assert full_rows == [step, n - last - step]  # the crossed blocks, in full
+        # entry by entry, on fresh grids; the full kernel combines in place
+        assert any(len(a) == 2 and a == b and out is None for a, b, out in combines)
+
+    def test_ties_at_the_bound_certified(self, monkeypatch):
+        # Each line holds PRUNE_K large entries among small ones, except
+        # every third row of x and column of y, which hold 0.5. Those
+        # meet in terms that all equal the bound; with no -0.0 or NaN
+        # the candidate is then the full reduce, and nothing is
+        # recomputed.
+        rng = np.random.default_rng(10)
+        n = 100
+        x, y = rng.random((n, n)) * 0.1, rng.random((n, n)) * 0.1
+        for k in range(n):
+            x[k, rng.choice(n, PRUNE_K, replace=False)] = 0.9 + rng.random(PRUNE_K) * 0.1
+            y[rng.choice(n, PRUNE_K, replace=False), k] = 0.9 + rng.random(PRUNE_K) * 0.1
+        x[::3] = 0.5
+        y[:, ::3] = 0.5
+        combines, full_rows = [], []
+
+        def traced_add(a, b, out=None):
+            combines.append((a.shape, b.shape))
+            return np.add(a, b, out=out)
+
+        full = matrix._reduce_full
+
+        def spy(reduce, combine, x, y, out=None):
+            full_rows.append(x.shape[0])
+            return full(reduce, combine, x, y, out)
+
+        monkeypatch.setattr(matrix, "_reduce_full", spy)
+        got = matrix._reduce_rows(np.maximum, traced_add, x, matrix._Right(y, n, np.maximum))
+        assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
+        assert (got == 1.0).sum() == ((n + 2) // 3) ** 2
+        assert full_rows == []
+        assert not any(len(a) == 2 and a == b for a, b in combines)
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), ConvexCombo(0.5)])
     def test_first_step_declines(self, monkeypatch, op):
@@ -540,7 +588,7 @@ class TestPrunedKernel:
         monkeypatch.setattr(matrix, "_reduce_full", spy)
         got = compose(A, A, op)
         assert calls == [100, 100]
-        monkeypatch.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
         assert got == compose(A, A, op)
 
     def test_pruned_compose_memory_bounded(self, monkeypatch):
@@ -568,7 +616,7 @@ class TestPrunedKernel:
         monkeypatch.setattr(matrix, "_reduce_full", spy)
         pruned = peak()
         assert full_rows == []
-        monkeypatch.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
         assert pruned <= peak()
 
     def test_fortran_ordered_factor_bit_identical(self, monkeypatch):
@@ -579,8 +627,8 @@ class TestPrunedKernel:
         u = rng.random((n, n))
         v = rng.random((n, n)) * (1 - u)
         for x in (u, v):
-            x[rng.random((n, n)) < 0.01] = 0.0
-            x[rng.random((n, n)) < 0.01] = -0.0
+            x[rng.random((n, n)) < 0.05] = 0.0
+            x[rng.random((n, n)) < 0.05] = -0.0
         cols = rng.random(n) < 0.2
         u[:, cols] = rng.random(cols.sum())
         v[:, cols] = rng.random(cols.sum()) * (1 - u[:, cols])
@@ -588,7 +636,7 @@ class TestPrunedKernel:
         op = ConvexCombo(0.5)
         assert A.mu.flags.f_contiguous and not A.mu.flags.c_contiguous
         with monkeypatch.context() as m:
-            m.setattr(matrix, "_reduce_rows", _reference_reduce_rows)
+            m.setattr(matrix, "_reduce_rows", _reference_on_right)
             X = power(A, 10, op)
             want = compose(X, A, op)
         full_calls = []
@@ -600,7 +648,9 @@ class TestPrunedKernel:
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
         got = compose(X, A, op)
-        # mu is pruned; nu, whose limit ties at 0, declines at the probe.
+        # mu is pruned. nu declines at the probe: its rows and many
+        # columns of A.nu hold more than PRUNE_K zeros, so the bound is 0
+        # and candidate lists padded past those ties seldom reach it.
         assert full_calls == [(np.minimum, n)]
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
@@ -611,3 +661,109 @@ class TestPrunedKernel:
         A = _random_ifm(PRUNE_MAX_T + 1, 7)
         compose(A, A, GeneralizedMean(0.6, 1.0))
         assert calls == []
+
+
+def _kernel_terms(kind, r, t, c, seed):
+    """x, y and combine for one reduction: sums of [0, 1) terms, sums of
+    p < 0 power terms where zeros give +inf, or ConvexCombo's combine."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.random((r, t)), rng.random((t, c))
+    x[rng.random((r, t)) < 0.1] = 0.0
+    y[rng.random((t, c)) < 0.1] = 0.0
+    if kind == "star":
+        return x, y, matrix._star(0.3, np.minimum)
+    if kind == "negative-p":
+        with np.errstate(divide="ignore"):
+            x, y = 0.6 * x**-1.5, 0.4 * y**-1.5
+    return x, y, np.add
+
+
+class TestChunkedKernel:
+    """_reduce_full reduces chunks of rows laid out as contiguous
+    (t, rows * c) buffers; every output bit must match the old-layout
+    reference, which broadcasts (rows, t, c) blocks."""
+
+    @pytest.mark.parametrize("shapes", [
+        [*((1, n, n) for n in range(1, 6)), *((n, n, n) for n in range(1, 6)), (1, 100, 100)],
+        [(30, 100, 90), (100, PRUNE_MIN_T, PRUNE_MIN_T)],
+        [(37, PRUNE_MAX_T + 100, 11), (23, PRUNE_MIN_T - 24, 70)],
+    ], ids=["small", "t-pruned", "t-not-pruned"])
+    def test_bit_identical_to_reference(self, shapes):
+        for r, t, c in shapes:
+            for reduce in (np.maximum, np.minimum):
+                for kind in ("sums", "negative-p", "star"):
+                    x, y, combine = _kernel_terms(kind, r, t, c, r * t * c)
+                    right = matrix._Right(y, r, reduce)
+                    # Every case with several chunks ends in a partial one.
+                    assert right.rows == r or r % right.rows
+                    got = matrix._reduce_full(reduce, combine, x, right)
+                    want = _reference_reduce_rows(reduce, combine, x, y)
+                    assert got.tobytes() == want.tobytes(), (r, t, c, reduce, kind)
+
+    @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 2.0), ConvexCombo(0.5)])
+    def test_fold_prepares_right_factor_once(self, monkeypatch, op):
+        # _Right builds a component's terms, tile and partition. The left
+        # factor's row groups have 8 and 92 rows, so only the right
+        # factor is partitioned as an (n, n) array.
+        n = 100
+        A = _late_input(n, "constant-columns", 4)
+        prepared, partitions = [], []
+        right, top = matrix._Right, matrix._top
+
+        def right_spy(y, r, reduce):
+            prepared.append(reduce)
+            return right(y, r, reduce)
+
+        def top_spy(v, largest):
+            if v.shape == (n, n):
+                partitions.append(largest)
+            return top(v, largest)
+
+        monkeypatch.setattr(matrix, "_Right", right_spy)
+        monkeypatch.setattr(matrix, "_top", top_spy)
+        power(A, 10, op)
+        assert prepared == [np.maximum, np.minimum]  # mu, then nu
+        assert partitions == [True, False]
+        prepared.clear()
+        partitions.clear()
+        assert power_sequence(A, op, max_iter=9).iterations == 9
+        assert prepared == [np.maximum, np.minimum]
+        assert partitions == [True, False]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
+    def test_star_subnormal_inputs_bit_identical(self, lam):
+        # Halving (1 - lam) * (x + y) can round where the sum is
+        # subnormal, so the combine keeps the order add, scale, halve.
+        rng = np.random.default_rng(9)
+        for n in (5, 80):
+            u = rng.random((n, n)) * 0.5
+            v = rng.random((n, n)) * 0.5
+            for x in (u, v):
+                x[rng.random((n, n)) < 0.3] = 5e-324
+                x[rng.random((n, n)) < 0.3] = 1e-310
+            A = Ifm(u, v)
+            mu, nu = _broadcast_compose(A, A, ConvexCombo(lam))
+            out = compose(A, A, ConvexCombo(lam))
+            assert out.mu.tobytes() == mu.tobytes()
+            assert out.nu.tobytes() == nu.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("p", [-1.0, 0.5, 2.0])
+def test_collapsed_gen_mean_stops_at_delta_zero_unhashed(monkeypatch, lam, p):
+    # lam in {0, 1} gives A^3 = A^2, so the report stops at delta = 0
+    # by m = 3 without hashing any power.
+    def no_hash(self):
+        raise AssertionError("a power was hashed")
+
+    op = GeneralizedMean(lam, p)
+    for seed in range(6):
+        A = _random_ifm(6, seed)
+        A2 = power(A, 2, op)
+        with monkeypatch.context() as m:
+            m.setattr(Ifm, "__hash__", no_hash)
+            rep = power_sequence(A, op)
+        assert rep.converged and rep.oscillation_period is None
+        assert rep.iterations == (1 if A2 == A else 2)
+        assert rep.deltas == [delta(A2, A), 0.0][:rep.iterations]
+        assert rep.limit == A2

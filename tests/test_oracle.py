@@ -208,6 +208,20 @@ def test_engine_matches_oracle_on_edge_inputs():
         assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
 
 
+def test_one_row_chunks_match_oracle_on_edge_inputs(monkeypatch):
+    # At n <= 5 every reduction fits one chunk; a one-byte budget makes
+    # each chunk hold one row of the left factor.
+    monkeypatch.setattr(matrix, "CHUNK_BYTES", 1)
+    assert matrix._Right(np.ones((5, 5)), 5, np.maximum).rows == 1
+    rng = random.Random(57)
+    budget = OracleBudget(max_n=5, max_m=5)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        m = rng.randint(2, 5)
+        A, op = _edge_case(rng, n)
+        assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
+
+
 @pytest.mark.parametrize("max_miss", [0.05, 1.0])
 def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, max_miss):
     # The oracle reaches n <= 5 only, far below PRUNE_MIN_T. With the
