@@ -17,6 +17,12 @@ from .errors import NotDominatedError, OutOfRangeError, SumViolationError, ZeroP
 SUM_TOL = 1e-12
 
 
+def check_components(mu, nu):
+    """Raise OutOfRangeError unless both floats lie in [0, 1] (NaN fails)."""
+    if not (0.0 <= mu <= 1.0) or not (0.0 <= nu <= 1.0):
+        raise OutOfRangeError(f"components must lie in [0, 1], got <{mu}, {nu}>")
+
+
 @dataclass(frozen=True)
 class ComponentPair:
     """A <mu, nu> pair with each component in [0, 1]; no sum constraint."""
@@ -27,10 +33,7 @@ class ComponentPair:
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "nu", float(self.nu))
-        if not (0.0 <= self.mu <= 1.0) or not (0.0 <= self.nu <= 1.0):
-            raise OutOfRangeError(
-                f"components must lie in [0, 1], got <{self.mu}, {self.nu}>"
-            )
+        check_components(self.mu, self.nu)
 
     def __iter__(self):
         yield self.mu
@@ -92,15 +95,22 @@ def gen_mean_pair(a, b, lam, p):
     )
 
 
+def star_component(x, y, lam, extreme):
+    """lam * extreme(x, y) + (1 - lam) * (x + y) / 2 on floats, where
+    extreme is min (mu side) or max (nu side)."""
+    return lam * extreme(x, y) + (1.0 - lam) * (x + y) / 2.0
+
+
 def star_scalar(a, b, lam):
     """Convex combination of max-min and arithmetic mean, per component.
 
     mu side uses min, nu side uses max, each blended with the arithmetic
     mean by weight lam.
     """
-    mu = lam * min(a.mu, b.mu) + (1.0 - lam) * (a.mu + b.mu) / 2.0
-    nu = lam * max(a.nu, b.nu) + (1.0 - lam) * (a.nu + b.nu) / 2.0
-    return ComponentPair(mu, nu)
+    return ComponentPair(
+        star_component(a.mu, b.mu, lam, min),
+        star_component(a.nu, b.nu, lam, max),
+    )
 
 
 def scalar_mult(lam, a):

@@ -126,8 +126,8 @@ class Ifm:
             )
         if mu.size == 0:
             raise DimensionMismatchError("matrix must be non-empty")
-        # Written so that NaN fails the range test.
-        if not (((mu >= 0) & (mu <= 1)).all() and ((nu >= 0) & (nu <= 1)).all()):
+        # min and max propagate NaN, so NaN fails the range test.
+        if not (mu.min() >= 0 and mu.max() <= 1 and nu.min() >= 0 and nu.max() <= 1):
             raise ValueError("all components must be finite and lie in [0, 1]")
         self.mu = mu
         self.nu = nu

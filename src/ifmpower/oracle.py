@@ -7,7 +7,8 @@ shares no code with the matrix engine's composition loop or with the
 closed-form weight formula. The enumeration runs depth first over walk
 prefixes, so a prefix shared by many walks is folded once; each walk
 still gets exactly the scalar folds, in the same order, that folding it
-on its own would give.
+on its own would give. Weights are carried as plain floats, and every
+fold result gets the same [0, 1] check as a ComponentPair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List
 import numpy as np
 
 from .errors import BudgetExceededError, MismatchFoundError
-from .ifn import gen_mean_pair, star_scalar
+from .ifn import check_components, gen_mean_scalar, star_component
 from .matrix import ConvexCombo, GeneralizedMean, Ifm, power
 
 ENUMERATION_CAP = 10**7
@@ -34,10 +35,26 @@ class OracleBudget:
     max_m: int = 5
 
 
-def _fold(op, a, b):
+def _fold_for(op):
+    """The scalar fold of op on plain floats: (w_mu, w_nu, e_mu, e_nu)
+    to the folded (mu, nu), range-checked as a ComponentPair is."""
+    lam = op.lam
     if isinstance(op, GeneralizedMean):
-        return gen_mean_pair(a, b, op.lam, op.p)
-    return star_scalar(a, b, op.lam)
+        p = op.p
+
+        def fold(wm, wn, em, en):
+            mu = gen_mean_scalar(wm, em, lam, p)
+            nu = gen_mean_scalar(wn, en, lam, p)
+            check_components(mu, nu)
+            return mu, nu
+    else:
+
+        def fold(wm, wn, em, en):
+            mu = star_component(wm, em, lam, min)
+            nu = star_component(wn, en, lam, max)
+            check_components(mu, nu)
+            return mu, nu
+    return fold
 
 
 def brute_force_power(A, m, op, budget=OracleBudget()):
@@ -60,25 +77,28 @@ def brute_force_power(A, m, op, budget=OracleBudget()):
         raise BudgetExceededError(
             f"n={n}, m={m} exceeds budget (max_n={budget.max_n}, max_m={budget.max_m})"
         )
-    entries = [[A.entry(i, j) for j in range(n)] for i in range(n)]
+    entries = [list(zip(row_mu, row_nu))
+               for row_mu, row_nu in zip(A.mu.tolist(), A.nu.tolist())]
+    fold = _fold_for(op)
 
-    def extend(w, v, d):
-        # w is the left fold of a d-edge walk from the current start
-        # vertex that ends at v.
+    def extend(wm, wn, v, d):
+        # <wm, wn> is the left fold of a d-edge walk from the current
+        # start vertex that ends at v.
         if d == m:
-            best_mu[v] = max(best_mu[v], w.mu)
-            best_nu[v] = min(best_nu[v], w.nu)
+            best_mu[v] = max(best_mu[v], wm)
+            best_nu[v] = min(best_nu[v], wn)
             return
-        for u, e in enumerate(entries[v]):
-            extend(_fold(op, w, e), u, d + 1)
+        for u, (em, en) in enumerate(entries[v]):
+            um, un = fold(wm, wn, em, en)
+            extend(um, un, u, d + 1)
 
     mu = np.empty((n, n))
     nu = np.empty((n, n))
     for i in range(n):
         best_mu = [-1.0] * n
         best_nu = [2.0] * n
-        for v, e in enumerate(entries[i]):
-            extend(e, v, 1)
+        for v, (em, en) in enumerate(entries[i]):
+            extend(em, en, v, 1)
         mu[i] = best_mu
         nu[i] = best_nu
     return Ifm(mu, nu)

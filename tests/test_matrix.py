@@ -105,7 +105,7 @@ def test_from_pairs_ragged():
         Ifm.from_pairs([[(1, 0), (0, 1)], [(1, 0)]])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, np.nextafter(1, 2)])
 def test_non_finite_components_rejected(bad):
     with pytest.raises(ValueError):
         Ifm([[0.5, bad]], [[0.1, 0.2]])

@@ -11,11 +11,14 @@ from ifmpower import (
     Ifm,
     MismatchFoundError,
     OracleBudget,
+    OutOfRangeError,
     brute_force_power,
     compose,
     delta,
     differential_check,
+    gen_mean_pair,
     power,
+    star_scalar,
 )
 from ifmpower import matrix, oracle
 from ifmpower.oracle import random_ifm
@@ -116,9 +119,16 @@ def test_matches_engine_at_large_abs_p(p):
                 assert delta(power(A, m, op), brute_force_power(A, m, op)) <= 1e-12
 
 
+def _pair_fold(op, a, b):
+    if isinstance(op, GeneralizedMean):
+        return gen_mean_pair(a, b, op.lam, op.p)
+    return star_scalar(a, b, op.lam)
+
+
 def _per_walk_power(A, m, op):
     """The enumeration as it was before prefix sharing: every m-walk
-    folded from scratch. The reference for the oracle's bits."""
+    folded from scratch, one validated ComponentPair per fold. The
+    reference for the oracle's bits."""
     n = A.rows
     entries = [[A.entry(i, j) for j in range(n)] for i in range(n)]
     mu = np.empty((n, n))
@@ -131,7 +141,7 @@ def _per_walk_power(A, m, op):
                 verts = (i, *mids, j)
                 w = entries[verts[0]][verts[1]]
                 for a, b in zip(verts[1:-1], verts[2:]):
-                    w = oracle._fold(op, w, entries[a][b])
+                    w = _pair_fold(op, w, entries[a][b])
                 best_mu = max(best_mu, w.mu)
                 best_nu = min(best_nu, w.nu)
             mu[i, j] = best_mu
@@ -185,17 +195,37 @@ def test_prefix_enumeration_matches_per_walk_bits():
 @pytest.mark.parametrize("n, m", [(4, 4), (3, 5), (4, 1), (1, 5), (2, 2)])
 def test_each_prefix_is_folded_once(monkeypatch, n, m):
     calls = []
-    fold = oracle._fold
+    make_fold = oracle._fold_for
 
-    def counted(op, a, b):
-        calls.append(op)
-        return fold(op, a, b)
+    def counted_fold(op):
+        fold = make_fold(op)
 
-    monkeypatch.setattr(oracle, "_fold", counted)
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+        return counted
+
+    monkeypatch.setattr(oracle, "_fold_for", counted_fold)
     brute_force_power(random_ifm(random.Random(n * m), n), m, GeneralizedMean(0.5, 2.0))
     # One fold per walk prefix of 2..m edges (1,344 at n = m = 4);
     # per-walk folding would make n^(m+1) * (m - 1), which is 3,072.
     assert len(calls) == n * sum(n ** d for d in range(2, m + 1))
+
+
+def test_out_of_range_fold_is_caught(monkeypatch):
+    # The first fold's mu reads 1.5. At lambda = 0 the next fold keeps
+    # only its edge, so no finished walk is out of range: the check on
+    # every fold is what raises.
+    mean = oracle.gen_mean_scalar
+    calls = []
+
+    def out_of_range_once(x, y, lam, p):
+        calls.append(x)
+        return 1.5 if len(calls) == 1 else mean(x, y, lam, p)
+
+    monkeypatch.setattr(oracle, "gen_mean_scalar", out_of_range_once)
+    with pytest.raises(OutOfRangeError, match=r"components must lie in \[0, 1\], got <1.5, "):
+        brute_force_power(A3, 3, GeneralizedMean(0.0, 1.0))
 
 
 def test_engine_matches_oracle_on_edge_inputs():
