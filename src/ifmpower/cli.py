@@ -190,6 +190,16 @@ def parse_grid(text):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _decimals(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number of decimals >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub, with_p=True):
     sub.add_argument("--input", required=True, help="matrix document (JSON)")
     sub.add_argument("--op", choices=["gen-mean", "star"], default="gen-mean")
@@ -197,7 +207,7 @@ def _add_common(sub, with_p=True):
     if with_p:
         sub.add_argument("--p", type=float, default=None,
                          help="power-mean exponent (gen-mean only)")
-    sub.add_argument("--display", type=int, default=None,
+    sub.add_argument("--display", type=_decimals, default=None,
                      help="round output to N decimals")
 
 
@@ -264,8 +274,7 @@ def cmd_converge(args):
     print(f"iterations: {report.iterations}")
     if report.oscillation_period is not None:
         print(f"oscillation_period: {report.oscillation_period}")
-    print(f"final_delta: {report.deltas[-1]:.17g}" if report.deltas
-          else "final_delta: n/a")
+    print(f"final_delta: {report.deltas[-1]:.17g}")
     print(f"row_uniformity: {row_uniformity(report.limit):.17g}")
     print(f"universal: {is_universal(report.limit, 1e-5)}")
     print(f"sum_violations: {report.sum_violations}")
@@ -310,7 +319,7 @@ def cmd_sweep(args):
                 "" if p is None else p,
                 report.converged,
                 report.iterations,
-                f"{report.deltas[-1]:.17g}" if report.deltas else "",
+                f"{report.deltas[-1]:.17g}",
                 f"{mu_dist:.17g}",
                 "no-guarantee" if lam == 1.0 else "",
             ])

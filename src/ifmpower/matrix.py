@@ -135,6 +135,15 @@ class Ifm:
         self.nu.setflags(write=False)
 
     @classmethod
+    def _wrap(cls, mu, nu):
+        """compose's fresh output, in [0, 1] by construction, as is."""
+        M = object.__new__(cls)
+        mu.setflags(write=False)
+        nu.setflags(write=False)
+        M.mu, M.nu = mu, nu
+        return M
+
+    @classmethod
     def from_pairs(cls, grid):
         """Build from a nested sequence of (mu, nu) pairs, validating
         each entry as an IFN."""
@@ -367,20 +376,7 @@ def _prepare(B, op, r):
                 _Right(_power_terms(B.nu, w, op.p), r, lo))
 
 
-class _FoldFactor(Ifm):
-    """The right factor A of every step of one fold under op, holding
-    the same components as A and its _prepare data, so that each step's
-    compose skips that work. It lives only as long as the fold."""
-
-    __slots__ = ("op", "right")
-
-    def __init__(self, A, op):
-        self.mu, self.nu = A.mu, A.nu
-        self.op = op
-        self.right = _prepare(A, op, A.rows)
-
-
-def compose(A, B, op):
+def compose(A, B, op, *, _right=None):
     """Max-mean / min-mean product of two matrices under op.
 
     GeneralizedMean works in the s = x^p domain, where entry (i, j) is
@@ -392,7 +388,7 @@ def compose(A, B, op):
 
     B's side of the work (its s-domain terms, their tiles and candidate
     partitions; see _prepare) is done once per call, or once per fold
-    when power or power_sequence passes its prepared factor as B. The
+    when power or power_sequence passes A's prepared side as _right. The
     reduce runs on contiguous chunks in _reduce_full. Both families
     reduce a combine that is monotone in each argument (+ in the s
     domain; min, max, + and non-negative scaling for ConvexCombo), so
@@ -406,10 +402,7 @@ def compose(A, B, op):
         raise DimensionMismatchError(
             f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}"
         )
-    if isinstance(B, _FoldFactor) and B.op is op:
-        right = B.right
-    else:
-        right = _prepare(B, op, A.rows)
+    right = _prepare(B, op, A.rows) if _right is None else _right
     if isinstance(op, GeneralizedMean):
         lam, p = op.lam, op.p
         # lam in {0, 1} stays out of the s domain, where 0 * inf would
@@ -432,9 +425,11 @@ def compose(A, B, op):
     else:
         mu = _reduce_rows(np.maximum, _star(op.lam, np.minimum), A.mu, right[0])
         nu = _reduce_rows(np.minimum, _star(op.lam, np.maximum), A.nu, right[1])
-    # Guard against float spill just outside [0, 1]; mu and nu are
-    # fresh, and Ifm copies them anyway.
-    return Ifm(mu.clip(0.0, 1.0, out=mu), nu.clip(0.0, 1.0, out=nu))
+    # Guard against float spill just outside [0, 1]. Every term above is
+    # non-negative and never NaN (w * x^p has w > 0, +inf at p < 0 comes
+    # back as +0.0, and the star adds non-negative products), so the
+    # fresh, clipped arrays are wrapped without Ifm's copy and check.
+    return Ifm._wrap(mu.clip(0.0, 1.0, out=mu), nu.clip(0.0, 1.0, out=nu))
 
 
 def power(A, k, op):
@@ -446,10 +441,10 @@ def power(A, k, op):
         raise ValueError(f"power exponent must be >= 1, got {k}")
     if k == 1:
         return A
-    right = _FoldFactor(A, op)
+    right = _prepare(A, op, A.rows)
     result = A
     for _ in range(k - 1):
-        result = compose(result, right, op)
+        result = compose(result, A, op, _right=right)
     return result
 
 
@@ -536,16 +531,18 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
         raise DimensionMismatchError("powers require a square matrix")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     detect_cycles = isinstance(op, ConvexCombo) and op.lam == 1.0
     seen = {A: 1} if detect_cycles else None
 
     report = ConvergenceReport(limit=A, iterations=0, converged=False)
     report.sum_violations = A.sum_violations()
-    right = _FoldFactor(A, op)
+    right = _prepare(A, op, A.rows)
     prev = A
     for m in range(2, max_iter + 2):
-        cur = compose(prev, right, op)
+        cur = compose(prev, A, op, _right=right)
         d = delta(cur, prev)
         report.iterations = m - 1
         report.deltas.append(d)

@@ -284,15 +284,19 @@ class TestUnreadableInput:
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = re.findall(r"^ifmpower .*$", readme, flags=re.MULTILINE)
     parser = build_parser()
     commands = set()
+    # Each line also runs, on the quick-start matrix as A.json.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A.json").write_text(A_DOC)
     for line in lines:
         # Bracketed flags are optional; parse them too.
         argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
         commands.add(parser.parse_args(argv).command)
+        assert main(argv) == 0, (line, capsys.readouterr().err)
     assert commands == {"power", "converge", "analyze", "sweep", "oracle-check"}
 
 
@@ -323,6 +327,16 @@ class TestPowerCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entries"][0][1] == {"mu": 0.93326, "nu": 0.05339}
+
+    @pytest.mark.parametrize("command", ["power", "converge"])
+    @pytest.mark.parametrize("display", ["-1", "-5", "x"])
+    def test_bad_display_exits_2(self, a_file, capsys, command, display):
+        argv = [command, "--input", a_file, "--p", "1", f"--display={display}"]
+        code = main(argv + ["--steps", "2"] if command == "power" else argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--display" in captured.err
 
     def test_steps_one_echoes(self, a_file, capsys):
         code = main(["power", "--input", a_file, "--op", "gen-mean",
@@ -442,6 +456,15 @@ class TestConvergeCommand:
         assert code == 2
         assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_exits_2(self, a_file, capsys, max_iter):
+        code = main(["converge", "--input", a_file, "--p", "1",
+                     f"--max-iter={max_iter}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "max_iter" in captured.err
+
     def test_trace_csv(self, a_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         code = main(["converge", "--input", a_file, "--op", "gen-mean",
@@ -551,6 +574,15 @@ class TestSweepCommand:
         assert main(["sweep", "--input", a_file, "--lambda-grid", "0.5",
                      "--eps", "inf"]) == 2
         assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_exits_2(self, a_file, capsys, max_iter):
+        code = main(["sweep", "--input", a_file, "--lambda-grid", "0.5",
+                     f"--max-iter={max_iter}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "max_iter" in captured.err
 
     def test_oversized_grid_exits_2(self, a_file, capsys):
         tracemalloc.start()

@@ -90,6 +90,12 @@ def test_power_sequence_rejects_bad_eps(eps):
         power_sequence(Ifm.universal(2), GeneralizedMean(0.5, 1.0), eps=eps)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_power_sequence_rejects_max_iter_below_one(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        power_sequence(Ifm.universal(2), GeneralizedMean(0.5, 1.0), max_iter=max_iter)
+
+
 def test_ifm_stores_a_private_copy_with_positive_zeros():
     mu, nu = np.array([[-0.0, 0.5]]), np.array([[0.5, -0.0]])
     M = Ifm(mu, nu)
@@ -746,6 +752,67 @@ class TestChunkedKernel:
             out = compose(A, A, ConvexCombo(lam))
             assert out.mu.tobytes() == mu.tobytes()
             assert out.nu.tobytes() == nu.tobytes()
+
+
+def _subnormal_ifm(n, seed):
+    """_random_ifm with subnormal entries planted too."""
+    rng = np.random.default_rng(seed)
+    A = _random_ifm(n, seed)
+    u, v = A.mu.copy(), A.nu.copy()
+    for x in (u, v):
+        x[rng.random((n, n)) < 0.05] = 5e-324
+        x[rng.random((n, n)) < 0.05] = 1e-310
+    return Ifm(u, v)
+
+
+class TestKernelOutput:
+    """compose wraps its result without Ifm's copy and range check, so
+    nothing that check would catch may ever leave the kernel."""
+
+    @staticmethod
+    def _check(M):
+        for x in (M.mu, M.nu):
+            assert not np.isnan(x).any() and not np.signbit(x).any()
+            assert x.min() >= 0.0 and x.max() <= 1.0
+            assert not x.flags.writeable
+        checked = Ifm(M.mu, M.nu)
+        assert checked.mu.tobytes() == M.mu.tobytes()
+        assert checked.nu.tobytes() == M.nu.tobytes()
+
+    @pytest.mark.parametrize("op", [
+        *(GeneralizedMean(lam, p) for lam in (0.0, 0.6, 1.0) for p in (-3.0, -1.0, 0.5, 2.0)),
+        *(ConvexCombo(lam) for lam in (0.0, 0.5, 1.0)),
+    ], ids=repr)
+    @pytest.mark.parametrize("n", [5, 70])
+    def test_checked_by_construction(self, op, n):
+        # n = 70 reductions run through the pruned kernel.
+        A = _subnormal_ifm(n, n)
+        self._check(compose(A, A, op))
+        self._check(power(A, 4, op))
+        self._check(power_sequence(A, op, max_iter=20).limit)
+
+
+@pytest.mark.parametrize("op", [GM, GeneralizedMean(0.0, 2.0), GeneralizedMean(0.6, -1.0),
+                                ConvexCombo(0.5), ConvexCombo(1.0)], ids=repr)
+def test_every_fold_step_calls_module_compose(monkeypatch, op):
+    # A tracer times the kernel by wrapping matrix.compose, so each fold
+    # step must be one call of it, with the caller's own A as B.
+    A = _random_ifm(6, 3)
+    calls = []
+    original = matrix.compose
+
+    def spy(X, B, *args, **kwargs):
+        calls.append(B)
+        return original(X, B, *args, **kwargs)
+
+    monkeypatch.setattr(matrix, "compose", spy)
+    for k in (1, 2, 7):
+        calls.clear()
+        power(A, k, op)
+        assert len(calls) == k - 1 and all(B is A for B in calls)
+    calls.clear()
+    rep = power_sequence(A, op, max_iter=30)
+    assert len(calls) == rep.iterations and all(B is A for B in calls)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
