@@ -21,28 +21,19 @@ from .ifn import ComponentPair, Ifn
 # rather than float drift.
 SUM_VIOLATION_TOL = 1e-9
 
-# Bytes of float64 buffer per chunk of rows in _reduce_full. The buffer
-# and the tile of the right factor it meets, about 1 MB together, stay
-# inside a 2 MB per-core L2 cache, and no composition allocates an n^3
-# array.
+# Bytes of float64 temporaries per chunk of rows, in _reduce_full and in
+# _reduce_rows alike. A chunk and the tile of the right factor it meets,
+# about 1 MB together, stay inside a 2 MB per-core L2 cache, and no
+# composition allocates an n^3 array.
 CHUNK_BYTES = 512 * 2**10
 
-# Bytes of (rows, t, c) terms per row group of the pruned kernel
-# (_reduce_rows), over which its miss share is counted.
-BLOCK_BYTES = 8 * 2**20
-
 # Pruned reductions in compose (see _reduce_rows): candidate t per row
-# of the left factor and per column of the right one; the shortest and
-# the longest reduction that is pruned; the rows probed before pruning
-# a call; and the share of entries needing a full reduce above which
-# the call, or a row group, is reduced in full. PRUNE_MAX_T is a size
-# rule: pruning at t = 300 left the benchmark process's peak RSS about
-# 6 MB higher in most runs, and no change to the kernel's own
-# allocations removed that (CHANGES.md).
+# of the left factor and per column of the right one; the shortest
+# reduction that is pruned; and the share of a row group's entries
+# needing a full reduce above which the group, or the whole call when
+# it is the first group, is reduced in full.
 PRUNE_K = 8
 PRUNE_MIN_T = 8 * PRUNE_K
-PRUNE_MAX_T = 200
-PRUNE_PROBE_ROWS = 8
 PRUNE_MAX_MISS = 0.05
 
 
@@ -213,7 +204,7 @@ class _Right:
       [t, i * c + j] is y[t, j]; rows is the number of left-factor rows
       in one _reduce_full chunk, at most r, the left factor's row count;
     - top, the candidate partition of y's columns for _reduce_rows, or
-      None where a reduction over t terms is not pruned.
+      None where t < PRUNE_MIN_T and a reduction is not pruned.
     """
 
     __slots__ = ("y", "rows", "tile", "top")
@@ -226,7 +217,7 @@ class _Right:
         # fold of tiny matrices pays once per component.
         self.tile = np.concatenate([y] * self.rows, axis=1)
         self.top = None
-        if PRUNE_MIN_T <= t <= PRUNE_MAX_T:
+        if t >= PRUNE_MIN_T:
             top, val, nxt = _top(y.T, reduce is np.maximum)
             self.top = top.T.copy(), val.T.copy(), nxt
 
@@ -280,39 +271,37 @@ def _reduce_rows(reduce, combine, x, right):
     is right.y, reduce is np.maximum or np.minimum and combine is
     monotone non-decreasing in both arguments.
 
-    Where right carries a partition (reductions of PRUNE_MIN_T to
-    PRUNE_MAX_T terms), entries are proven by a certificate (the
-    threshold rule of top-k aggregation), written here for max; min is
-    the mirror image. Let S_i hold the PRUNE_K t with the largest
-    x[i, t] and T_j those with the largest y[t, j]; every other t has
-    x[i, t] <= x'_i and y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest
-    values. Floating-point +, min, max and scaling by a non-negative
-    constant are monotone, so combine(x'_i, y'_j) bounds every term
-    outside S_i | T_j, and an entry whose reduce over those 2 * PRUNE_K
-    candidates reaches the bound is the full reduce, bit for bit: with
-    no -0.0 and no NaN among the terms (see Ifm), a max or min is the
-    same float whichever equal term it keeps. Entries the bound cannot
-    prove are reduced over every t again, one by one.
+    Where right carries a partition (reductions of PRUNE_MIN_T or more
+    terms), entries are proven by a certificate (the threshold rule of
+    top-k aggregation), written here for max; min is the mirror image.
+    Let S_i hold the PRUNE_K t with the largest x[i, t] and T_j those
+    with the largest y[t, j]; every other t has x[i, t] <= x'_i and
+    y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest values. Floating-point
+    +, min, max and scaling by a non-negative constant are monotone, so
+    combine(x'_i, y'_j) bounds every term outside S_i | T_j, and an
+    entry whose reduce over those 2 * PRUNE_K candidates reaches the
+    bound is the full reduce, bit for bit: with no -0.0 and no NaN among
+    the terms (see Ifm), a max or min is the same float whichever equal
+    term it keeps. Entries the bound cannot prove are reduced over every
+    t again, one by one.
 
-    Rows are taken in groups of about BLOCK_BYTES of (rows, t, c)
-    terms, after a probe of the first PRUNE_PROBE_ROWS rows; this
-    grouping sets only the miss share, while _reduce_full's chunks
-    follow CHUNK_BYTES. When more than PRUNE_MAX_MISS of the probe's
-    entries need the full reduce (as on a first step A o A), the whole
-    call is reduced in full; a later group past that share is reduced
-    in full on its own.
+    Rows are taken in groups whose (rows, PRUNE_K, c) candidate grids
+    fit CHUNK_BYTES, the budget of _reduce_full's chunks. The first
+    group is the probe: when more than PRUNE_MAX_MISS of its entries
+    need the full reduce (as on a first step A o A), the whole call is
+    reduced in full; a later group past that share is reduced in full
+    on its own.
     """
     if right.top is None:
         return _reduce_full(reduce, combine, x, right)
-    r, t = x.shape
     y = right.y
-    c = y.shape[1]
+    r, c = len(x), y.shape[1]
     largest = reduce is np.maximum
     proven = np.greater_equal if largest else np.less_equal
     y_top, y_top_val, y_next = right.top
     out = np.empty((r, c))
-    step = max(1, BLOCK_BYTES // (8 * t * c))
-    bounds = [0, *range(min(PRUNE_PROBE_ROWS, r), r, step), r]
+    step = max(1, CHUNK_BYTES // (8 * PRUNE_K * c))
+    bounds = [*range(0, r, step), r]
     for i, stop in zip(bounds, bounds[1:]):
         xb, cand = x[i:stop], out[i:stop]
         x_top, x_top_val, x_next = _top(xb, largest)
@@ -388,15 +377,16 @@ def compose(A, B, op, *, _right=None):
 
     B's side of the work (its s-domain terms, their tiles and candidate
     partitions; see _prepare) is done once per call, or once per fold
-    when power or power_sequence passes A's prepared side as _right. The
-    reduce runs on contiguous chunks in _reduce_full. Both families
-    reduce a combine that is monotone in each argument (+ in the s
-    domain; min, max, + and non-negative scaling for ConvexCombo), so
-    _reduce_rows proves most entries of a long reduction from the
-    PRUNE_K extreme terms of their row and column: an entry whose
-    candidate reaches the bound formed from the next-largest terms is
-    exact. Entries the bound cannot prove are reduced over every t; the
-    output is bit-identical either way.
+    when power or power_sequence passes A's prepared side as _right.
+    Both families reduce a combine that is monotone in each argument (+
+    in the s domain; min, max, + and non-negative scaling for
+    ConvexCombo), so _reduce_rows proves most entries of a reduction
+    over PRUNE_MIN_T or more terms from the PRUNE_K extreme terms of
+    their row and column: an entry whose candidate reaches the bound
+    formed from the next-largest terms is exact. Entries the bound
+    cannot prove are reduced over every t in _reduce_full's contiguous
+    chunks or one by one; the output is bit-identical either way. Both
+    kernels size their row chunks and groups by CHUNK_BYTES.
     """
     if A.cols != B.rows:
         raise DimensionMismatchError(
@@ -446,6 +436,13 @@ def power(A, k, op):
     for _ in range(k - 1):
         result = compose(result, A, op, _right=right)
     return result
+
+
+def _digest(M):
+    """16 bytes that stand for M in power_sequence's cycle detection.
+    hashlib is imported here because it loads OpenSSL, about 5 ms."""
+    import hashlib
+    return hashlib.blake2b(M.mu.tobytes() + M.nu.tobytes(), digest_size=16).digest()
 
 
 def delta(A, B):
@@ -523,9 +520,11 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
     deltas[i] is delta(A^(i+2), A^(i+1)); bound_trace carries the
     matching theoretical bound (None where no guarantee holds).
     ConvexCombo(1.0) does not contract, so exact repeats are detected
-    instead and reported as an oscillation period. GeneralizedMean with
-    lam in {0, 1} has A^3 = A^2, so it stops at delta = 0 before any
-    repeat could be seen, and is not hashed.
+    instead and reported as an oscillation period: a power whose digest
+    matches that of an earlier A^k is a repeat once A^k, folded again,
+    equals it bit for bit. GeneralizedMean with lam in {0, 1} has
+    A^3 = A^2, so it stops at delta = 0 before any repeat could be
+    seen, and is not hashed.
     """
     if not A.is_square():
         raise DimensionMismatchError("powers require a square matrix")
@@ -535,7 +534,7 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     detect_cycles = isinstance(op, ConvexCombo) and op.lam == 1.0
-    seen = {A: 1} if detect_cycles else None
+    seen = {_digest(A): 1} if detect_cycles else None
 
     report = ConvergenceReport(limit=A, iterations=0, converged=False)
     report.sum_violations = A.sum_violations()
@@ -553,9 +552,9 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
             report.converged = True
             return report
         if detect_cycles:
-            if cur in seen:
-                report.oscillation_period = m - seen[cur]
+            k = seen.setdefault(_digest(cur), m)
+            if k < m and power(A, k, op) == cur:
+                report.oscillation_period = m - k
                 return report
-            seen[cur] = m
         prev = cur
     return report

@@ -284,6 +284,22 @@ class TestUnreadableInput:
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["power", "--p", "1", "--steps", "2"],
+    ["converge", "--p", "1"],
+    ["analyze"],
+    ["sweep", "--lambda-grid", "0.5", "--p-grid", "1"],
+], ids=lambda argv: argv[0])
+def test_non_square_input_exits_3(tmp_path, capsys, argv):
+    f = tmp_path / "rect.json"
+    f.write_text(json.dumps({"rows": 2, "cols": 3,
+                             "entries": [[{"mu": 0.5, "nu": 0.2}] * 3] * 2}))
+    assert main([*argv, "--input", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "square matrix" in captured.err
+
+
 def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = re.findall(r"^ifmpower .*$", readme, flags=re.MULTILINE)

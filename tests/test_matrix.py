@@ -23,7 +23,7 @@ from ifmpower import (
     step_bound,
 )
 from ifmpower import matrix
-from ifmpower.matrix import BLOCK_BYTES, PRUNE_K, PRUNE_MAX_T, PRUNE_MIN_T, PRUNE_PROBE_ROWS
+from ifmpower.matrix import CHUNK_BYTES, PRUNE_K, PRUNE_MIN_T
 from ifmpower.oracle import brute_force_power
 
 # 3x3 instance whose powers converge to the universal matrix at
@@ -202,7 +202,7 @@ class TestCompose:
                                     GeneralizedMean(0.3, 2), ConvexCombo(0.5)])
     def test_bit_identical_to_broadcast_formula(self, op):
         n = 120
-        assert 8 * n**3 > BLOCK_BYTES  # at least two row blocks
+        assert CHUNK_BYTES // (8 * PRUNE_K * n) < n  # at least two row groups
         A, B = _random_ifm(n, 1), _random_ifm(n, 2)
         out = compose(A, B, op)
         mu, nu = _broadcast_compose(A, B, op)
@@ -356,6 +356,61 @@ class TestPowerSequence:
         assert not rep.converged
         assert rep.oscillation_period == 2
 
+    def test_long_oscillation_memory_bounded(self):
+        # A permutation matrix with cycles of lengths 2, 3, 5, 7 and 11
+        # repeats under max-min composition with period 2310; keeping
+        # every power until then would hold 2310 * 28^2 * 16 bytes.
+        perm, start = [], 0
+        for length in (2, 3, 5, 7, 11):
+            perm += [start + (i + 1) % length for i in range(length)]
+            start += length
+        n = len(perm)
+        P = np.zeros((n, n))
+        P[np.arange(n), perm] = 1.0
+        A = Ifm(P, 1.0 - P)
+        tracemalloc.start()
+        try:
+            rep = power_sequence(A, ConvexCombo(1.0), max_iter=3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not rep.converged
+        assert rep.oscillation_period == rep.iterations == 2310
+        assert rep.limit == A
+        assert peak < 4 * 2**20
+
+    def test_oscillation_matches_kept_powers(self):
+        # The digest-keyed detection reports the period and iteration
+        # count of a search that keeps every power; these inputs repeat
+        # after a preperiod, so each hit folds A^k again.
+        op = ConvexCombo(1.0)
+        for seed in range(8):
+            A = _random_ifm(8, seed)
+            kept, X = [A], A
+            while X not in kept[:-1]:
+                X = compose(X, A, op)
+                kept.append(X)
+            first = kept.index(X) + 1
+            rep = power_sequence(A, op, max_iter=100)
+            if first == len(kept) - 1:
+                assert rep.converged, seed
+            else:
+                assert rep.oscillation_period == len(kept) - first, seed
+            assert rep.iterations == len(kept) - 1, seed
+
+    def test_digest_hit_needs_an_equal_power(self, monkeypatch):
+        # Every power gets the same digest, so every step is a hit
+        # against A itself. The flip matrix returns to A, and its period
+        # is found; a random input leaves A behind for good, and no
+        # period is reported.
+        monkeypatch.setattr(matrix, "_digest", lambda M: b"")
+        flip = Ifm.from_pairs([[(0, 1), (1, 0)], [(1, 0), (0, 1)]])
+        rep = power_sequence(flip, ConvexCombo(1.0), max_iter=50)
+        assert rep.oscillation_period == 2 and rep.iterations == 2
+        rep = power_sequence(_random_ifm(8, 0), ConvexCombo(1.0), max_iter=50)
+        assert rep.oscillation_period is None
+        assert rep.iterations == 50 and not rep.converged
+
     def test_lambda_one_gen_mean_no_bound_claim(self):
         rep = power_sequence(A3, GeneralizedMean(1.0, 1.0), eps=1e-12, max_iter=50)
         assert all(b is None for b in rep.bound_trace)
@@ -398,12 +453,16 @@ def test_membership_upper_bound_without_critical_tail():
             assert An.mu[:, 1].max() <= (1 - lam**n) ** (1 / p) + 1e-12
 
 
+# Bytes of (rows, t, c) terms per row block of _reference_reduce_rows.
+REFERENCE_TERM_BYTES = 8 * 2**20
+
+
 def _reference_reduce_rows(reduce, combine, x, y):
     """The kernel before pruning: every entry reduced over every t, in
-    row blocks of about BLOCK_BYTES."""
+    broadcast row blocks of about REFERENCE_TERM_BYTES."""
     r, t = x.shape
     c = y.shape[1]
-    step = max(1, BLOCK_BYTES // (8 * t * c))
+    step = max(1, REFERENCE_TERM_BYTES // (8 * t * c))
     if step >= r:
         return reduce.reduce(combine(x[:, :, None], y), axis=1)
     out = np.empty((r, c))
@@ -486,14 +545,14 @@ class TestPrunedKernel:
         # PRUNE_K small entries among large ones, so most entries are
         # certified. Crossed rows meet crossed columns where every
         # candidate term lies above the bound, which the other t attain:
-        # two such rows after the probe are recomputed entry by entry,
-        # and the last two row blocks, all crossed, are reduced in full.
+        # two such rows, one in the probe, are recomputed entry by entry,
+        # and the last two row groups, all crossed, are reduced in full.
         # Rows and columns holding 0.0 at the same three t give zero
         # minima.
         rng = np.random.default_rng(8)
-        n = PRUNE_MAX_T
-        step = BLOCK_BYTES // (8 * n * n)  # rows per block after the probe
-        last = n - step - (n - PRUNE_PROBE_ROWS) % step  # start of the last two blocks
+        n = 200
+        bounds = [*range(0, n, CHUNK_BYTES // (8 * PRUNE_K * n)), n]  # row groups
+        last = bounds[-3]  # start of the last two groups
         zt = np.array([5, 102, 199])
         zero_rows, zero_cols = [*range(30, 40), 50, 51], [0, 1, 2, *range(100, 110)]
 
@@ -543,7 +602,7 @@ class TestPrunedKernel:
         assert got.tobytes() == want.tobytes()
         zeros = got == 0
         assert zeros.sum() == len(zero_rows) * len(zero_cols) + 1
-        assert full_rows == [step, n - last - step]  # the crossed blocks, in full
+        assert full_rows == [bounds[-2] - last, n - bounds[-2]]  # the crossed groups, in full
         # entry by entry, on fresh grids; the full kernel combines in place
         assert any(len(a) == 2 and a == b and out is None for a, b, out in combines)
 
@@ -599,8 +658,8 @@ class TestPrunedKernel:
 
     def test_pruned_compose_memory_bounded(self, monkeypatch):
         # Pruning must not raise the peak above that of the kernel that
-        # reduces over all t, at the largest size it prunes.
-        n = PRUNE_MAX_T
+        # reduces over all t, at the size of the benchmark's power fold.
+        n = 300
         A = _late_input(n, "constant-columns", 3)
         op = GeneralizedMean(0.6, 1.0)
         X = power(A, 12, op)
@@ -661,12 +720,30 @@ class TestPrunedKernel:
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
 
-    def test_longest_reductions_not_pruned(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(matrix, "_top", lambda *a: calls.append(a))
-        A = _random_ifm(PRUNE_MAX_T + 1, 7)
-        compose(A, A, GeneralizedMean(0.6, 1.0))
-        assert calls == []
+    @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), GeneralizedMean(0.6, -1.0),
+                                    ConvexCombo(0.5)], ids=repr)
+    def test_late_step_pruned_at_n_300(self, monkeypatch, op):
+        # Reductions of every length from PRUNE_MIN_T up are pruned; at
+        # n = 300 a late step proves enough entries that no row group is
+        # reduced in full, and keeps the full reduce's bits.
+        n = 300
+        A = _late_input(n, "constant-columns", n)
+        X = power(A, 10, op)
+        full_rows = []
+        full = matrix._reduce_full
+
+        def spy(reduce, combine, x, y, out=None):
+            full_rows.append(x.shape[0])
+            return full(reduce, combine, x, y, out)
+
+        with monkeypatch.context() as m:
+            m.setattr(matrix, "_reduce_full", spy)
+            got = compose(X, A, op)
+        assert full_rows == []
+        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
+        want = compose(X, A, op)
+        assert got.mu.tobytes() == want.mu.tobytes()
+        assert got.nu.tobytes() == want.nu.tobytes()
 
 
 def _kernel_terms(kind, r, t, c, seed):
@@ -691,8 +768,8 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("shapes", [
         [*((1, n, n) for n in range(1, 6)), *((n, n, n) for n in range(1, 6)), (1, 100, 100)],
-        [(30, 100, 90), (100, PRUNE_MIN_T, PRUNE_MIN_T)],
-        [(37, PRUNE_MAX_T + 100, 11), (23, PRUNE_MIN_T - 24, 70)],
+        [(30, 100, 90), (100, PRUNE_MIN_T, PRUNE_MIN_T), (37, 300, 11)],
+        [(23, PRUNE_MIN_T - 24, 70)],
     ], ids=["small", "t-pruned", "t-not-pruned"])
     def test_bit_identical_to_reference(self, shapes):
         for r, t, c in shapes:
@@ -709,7 +786,7 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 2.0), ConvexCombo(0.5)])
     def test_fold_prepares_right_factor_once(self, monkeypatch, op):
         # _Right builds a component's terms, tile and partition. The left
-        # factor's row groups have 8 and 92 rows, so only the right
+        # factor's row groups have 81 and 19 rows, so only the right
         # factor is partitioned as an (n, n) array.
         n = 100
         A = _late_input(n, "constant-columns", 4)
@@ -820,7 +897,7 @@ def test_every_fold_step_calls_module_compose(monkeypatch, op):
 def test_collapsed_gen_mean_stops_at_delta_zero_unhashed(monkeypatch, lam, p):
     # lam in {0, 1} gives A^3 = A^2, so the report stops at delta = 0
     # by m = 3 without hashing any power.
-    def no_hash(self):
+    def no_hash(M):
         raise AssertionError("a power was hashed")
 
     op = GeneralizedMean(lam, p)
@@ -828,7 +905,7 @@ def test_collapsed_gen_mean_stops_at_delta_zero_unhashed(monkeypatch, lam, p):
         A = _random_ifm(6, seed)
         A2 = power(A, 2, op)
         with monkeypatch.context() as m:
-            m.setattr(Ifm, "__hash__", no_hash)
+            m.setattr(matrix, "_digest", no_hash)
             rep = power_sequence(A, op)
         assert rep.converged and rep.oscillation_period is None
         assert rep.iterations == (1 if A2 == A else 2)

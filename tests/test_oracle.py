@@ -256,11 +256,10 @@ def test_one_row_chunks_match_oracle_on_edge_inputs(monkeypatch):
 def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, max_miss):
     # The oracle reaches n <= 5 only, far below PRUNE_MIN_T. With the
     # activation constants lowered, compose prunes at these sizes too;
-    # at max_miss = 1.0 no probe or row block declines, so every entry
+    # at max_miss = 1.0 no row group declines, so every entry
     # the bound cannot prove is recomputed one by one.
     monkeypatch.setattr(matrix, "PRUNE_K", 1)
     monkeypatch.setattr(matrix, "PRUNE_MIN_T", 2)
-    monkeypatch.setattr(matrix, "PRUNE_PROBE_ROWS", 1)
     monkeypatch.setattr(matrix, "PRUNE_MAX_MISS", max_miss)
     pruned = []
     top = matrix._top
