@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import json
 import math
 import sys
@@ -162,31 +163,26 @@ GRID_MAX_POINTS = 10**6
 
 
 def parse_grid(text):
-    """Grid flag: either 'start:stop:step' (inclusive endpoints within
-    1e-12, at most GRID_MAX_POINTS points) or a comma-separated value
-    list."""
+    """Grid flag: either 'start:stop:step', every start + k * step up to
+    stop in exact decimal steps (at most GRID_MAX_POINTS points), or a
+    comma-separated value list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(x) for x in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)):
+        if not all(math.isfinite(float(x)) for x in parts):
             raise ValueError(f"grid bounds and step must be finite, got {text!r}")
+        # Any text float() reads as finite is a valid Decimal, so
+        # 0.1:0.9:0.2 steps to 0.3, not 0.30000000000000004.
+        start, stop, step = (decimal.Decimal(x) for x in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        # The grid holds floor(q) + 1 points; they are counted before
-        # the list is built, so a tiny step costs nothing.
-        if (stop + 1e-12 - start) / step >= GRID_MAX_POINTS:
+        # Points are counted before any is built, so a tiny step costs
+        # nothing; floor keeps a stop below start empty.
+        count = math.floor((stop - start) / step) + 1
+        if count > GRID_MAX_POINTS:
             raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-12:
-                break
-            values.append(min(v, stop))
-            k += 1
-        return values
+        return [float(start + k * step) for k in range(count)]
     return [float(x) for x in text.split(",") if x.strip()]
 
 
@@ -200,13 +196,12 @@ def _decimals(text):
     return value
 
 
-def _add_common(sub, with_p=True):
+def _add_common(sub):
     sub.add_argument("--input", required=True, help="matrix document (JSON)")
     sub.add_argument("--op", choices=["gen-mean", "star"], default="gen-mean")
     sub.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    if with_p:
-        sub.add_argument("--p", type=float, default=None,
-                         help="power-mean exponent (gen-mean only)")
+    sub.add_argument("--p", type=float, default=None,
+                     help="power-mean exponent (gen-mean only)")
     sub.add_argument("--display", type=_decimals, default=None,
                      help="round output to N decimals")
 
@@ -337,9 +332,6 @@ def cmd_sweep(args):
 
 
 def cmd_oracle_check(args):
-    if args.cases < 1:
-        print("error: --cases must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     budget = oracle.OracleBudget(max_n=args.max_n, max_m=args.max_m)
     try:
         report = oracle.differential_check(args.cases, budget, seed=args.seed)

@@ -146,11 +146,11 @@ def predict_universal(A):
     return bool(on.any(axis=0).all())
 
 
-def export_dot(A, graph_name="G", precision=5, struct=None):
-    """Render the matrix as a Graphviz digraph.
+def export_dot(A, struct=None):
+    """Render the matrix as Graphviz digraph G.
 
     Edges with mu > 0 or nu < 1 are drawn, labeled <mu,nu> rounded to
-    `precision` decimals; critical edges are bold, critical vertices
+    5 decimals; critical edges are bold, critical vertices
     double-circled. `struct` is A's critical structure when the caller
     has already computed it; otherwise it is computed here.
     """
@@ -159,14 +159,14 @@ def export_dot(A, graph_name="G", precision=5, struct=None):
     n = A.rows
     if struct is None:
         struct = critical_structure(A)
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph G {"]
     for v in range(1, n + 1):
         shape = "doublecircle" if v in struct.critical_vertices else "circle"
         lines.append(f'  {v} [label="v{v}", shape={shape}];')
     for i, (mu_row, nu_row) in enumerate(zip(A.mu, A.nu), start=1):
         for j, (mu, nu) in enumerate(zip(mu_row.tolist(), nu_row.tolist()), start=1):
             if mu > 0.0 or nu < 1.0:
-                label = f"⟨{mu:.{precision}f},{nu:.{precision}f}⟩"
+                label = f"⟨{mu:.5f},{nu:.5f}⟩"
                 style = ', style=bold, penwidth=2' if (i, j) in struct.critical_edges else ""
                 lines.append(f'  {i} -> {j} [label="{label}"{style}];')
     lines.append("}")

@@ -171,9 +171,9 @@ class Ifm:
         except ValueError:
             return ComponentPair(m, v)
 
-    def sum_violations(self, tol=SUM_VIOLATION_TOL):
-        """Number of entries with mu + nu > 1 beyond tol."""
-        return int((self.mu + self.nu > 1.0 + tol).sum())
+    def sum_violations(self):
+        """Number of entries with mu + nu > 1 beyond SUM_VIOLATION_TOL."""
+        return int((self.mu + self.nu > 1.0 + SUM_VIOLATION_TOL).sum())
 
     def __eq__(self, other):
         if not isinstance(other, Ifm):
@@ -197,7 +197,7 @@ class Ifm:
 
 class _Right:
     """One component of a right factor, prepared once for all the
-    products that reduce over it with `reduce`:
+    products that max-reduce over it:
 
     - y, its terms;
     - tile, `rows` copies of y side by side, so that entry
@@ -209,7 +209,7 @@ class _Right:
 
     __slots__ = ("y", "rows", "tile", "top")
 
-    def __init__(self, y, r, reduce):
+    def __init__(self, y, r):
         t, c = y.shape
         self.y = y
         self.rows = max(1, min(r, CHUNK_BYTES // (8 * t * c)))
@@ -218,13 +218,13 @@ class _Right:
         self.tile = np.concatenate([y] * self.rows, axis=1)
         self.top = None
         if t >= PRUNE_MIN_T:
-            top, val, nxt = _top(y.T, reduce is np.maximum)
+            top, val, nxt = _top(y.T)
             self.top = top.T.copy(), val.T.copy(), nxt
 
 
-def _reduce_full(reduce, combine, x, right, out=None):
-    """out[i, j] = reduce over t of combine(x[i, t], y[t, j]), over
-    every t, where y is right.y.
+def _reduce_full(combine, x, right, out=None):
+    """out[i, j] = max over t of combine(x[i, t], y[t, j]), over every
+    t, where y is right.y.
 
     Rows of x are taken right.rows at a time, a chunk whose buffer
     fits CHUNK_BYTES (or holds one row). repeat lays a chunk out as
@@ -243,22 +243,21 @@ def _reduce_full(reduce, combine, x, right, out=None):
         xb = x[i:i + right.rows]
         buf = xb.T.repeat(c, axis=1)
         combine(buf, right.tile[:, :buf.shape[1]], out=buf)
-        reduce.reduce(buf.reshape(t, len(xb), c), axis=0, out=out[i:i + len(xb)])
+        np.maximum.reduce(buf.reshape(t, len(xb), c), axis=0, out=out[i:i + len(xb)])
     return out
 
 
-def _top(v, largest):
+def _top(v):
     """For each row of v: PRUNE_K column indices that include every
-    entry beyond v', the (PRUNE_K + 1)-th largest (or smallest) entry;
-    the entries at those indices; and v'. The rest of the row lies on
-    the other side of v'. A row with ties at v' has fewer entries
-    beyond it, and its list is padded with column 0, a harmless extra
+    entry above v', the (PRUNE_K + 1)-th largest entry; the entries at
+    those indices; and v'. A row with ties at v' has fewer entries
+    above it, and its list is padded with column 0, a harmless extra
     candidate."""
     r, n = v.shape
-    kth = n - PRUNE_K - 1 if largest else PRUNE_K
+    kth = n - PRUNE_K - 1
     nxt = np.partition(v, kth, axis=1)[:, kth:kth + 1]
     # flatnonzero is several times faster than a 2-D nonzero.
-    flat = np.flatnonzero(v > nxt if largest else v < nxt)
+    flat = np.flatnonzero(v > nxt)
     rows = flat // n
     counts = np.bincount(rows, minlength=r)
     top = np.zeros((r, PRUNE_K), dtype=np.intp)
@@ -266,24 +265,22 @@ def _top(v, largest):
     return top, v[np.arange(r)[:, None], top], nxt[:, 0]
 
 
-def _reduce_rows(reduce, combine, x, right):
-    """out[i, j] = reduce over t of combine(x[i, t], y[t, j]), where y
-    is right.y, reduce is np.maximum or np.minimum and combine is
-    monotone non-decreasing in both arguments.
+def _reduce_rows(combine, x, right):
+    """out[i, j] = max over t of combine(x[i, t], y[t, j]), where y is
+    right.y and combine is monotone non-decreasing in both arguments.
 
     Where right carries a partition (reductions of PRUNE_MIN_T or more
     terms), entries are proven by a certificate (the threshold rule of
-    top-k aggregation), written here for max; min is the mirror image.
-    Let S_i hold the PRUNE_K t with the largest x[i, t] and T_j those
-    with the largest y[t, j]; every other t has x[i, t] <= x'_i and
-    y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest values. Floating-point
-    +, min, max and scaling by a non-negative constant are monotone, so
-    combine(x'_i, y'_j) bounds every term outside S_i | T_j, and an
-    entry whose reduce over those 2 * PRUNE_K candidates reaches the
-    bound is the full reduce, bit for bit: with no -0.0 and no NaN among
-    the terms (see Ifm), a max or min is the same float whichever equal
-    term it keeps. Entries the bound cannot prove are reduced over every
-    t again, one by one.
+    top-k aggregation). Let S_i hold the PRUNE_K t with the largest
+    x[i, t] and T_j those with the largest y[t, j]; every other t has
+    x[i, t] <= x'_i and y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest
+    values. Floating-point +, min and scaling by a non-negative
+    constant are monotone, so combine(x'_i, y'_j) bounds every term
+    outside S_i | T_j, and an entry whose max over those 2 * PRUNE_K
+    candidates reaches the bound is the full max, bit for bit: with no
+    NaN and zeros of one sign only among the terms (see compose), a max
+    is the same float whichever equal term it keeps. Entries the bound
+    cannot prove are reduced over every t again, one by one.
 
     Rows are taken in groups whose (rows, PRUNE_K, c) candidate grids
     fit CHUNK_BYTES, the budget of _reduce_full's chunks. The first
@@ -293,37 +290,36 @@ def _reduce_rows(reduce, combine, x, right):
     on its own.
     """
     if right.top is None:
-        return _reduce_full(reduce, combine, x, right)
+        return _reduce_full(combine, x, right)
     y = right.y
     r, c = len(x), y.shape[1]
-    largest = reduce is np.maximum
-    proven = np.greater_equal if largest else np.less_equal
     y_top, y_top_val, y_next = right.top
     out = np.empty((r, c))
     step = max(1, CHUNK_BYTES // (8 * PRUNE_K * c))
     bounds = [*range(0, r, step), r]
     for i, stop in zip(bounds, bounds[1:]):
         xb, cand = x[i:stop], out[i:stop]
-        x_top, x_top_val, x_next = _top(xb, largest)
-        reduce.reduce(combine(x_top_val[:, :, None], y[x_top]), axis=1, out=cand)
-        reduce(cand, reduce.reduce(combine(np.take(xb, y_top, axis=1), y_top_val), axis=1),
-               out=cand)
-        need = ~proven(cand, combine(x_next[:, None], y_next))
+        x_top, x_top_val, x_next = _top(xb)
+        np.maximum.reduce(combine(x_top_val[:, :, None], y[x_top]), axis=1, out=cand)
+        np.maximum(cand, combine(np.take(xb, y_top, axis=1), y_top_val).max(axis=1),
+                   out=cand)
+        # Not cand < bound: a NaN fails greater_equal and is recomputed.
+        need = ~np.greater_equal(cand, combine(x_next[:, None], y_next))
         if np.count_nonzero(need) > PRUNE_MAX_MISS * need.size:
             if i == 0:
-                return _reduce_full(reduce, combine, x, right, out)
-            _reduce_full(reduce, combine, xb, right, cand)
+                return _reduce_full(combine, x, right, out)
+            _reduce_full(combine, xb, right, cand)
             continue
         if need.any():
             mi, mj = np.nonzero(need)
-            cand[mi, mj] = reduce.reduce(combine(xb[mi], y[:, mj].T), axis=1)
+            cand[mi, mj] = combine(xb[mi], y[:, mj].T).max(axis=1)
     return out
 
 
-def _star(lam, extreme):
-    """ConvexCombo's combine, lam * extreme(x, y) + (1 - lam) * (x + y) / 2,
+def _star(lam):
+    """ConvexCombo's combine, lam * min(x, y) + (1 - lam) * (x + y) / 2,
     in place where out is given (x may be out). It keeps the operations
-    of that expression (add, scale by 1 - lam, halve; extreme, scale by
+    of that expression (add, scale by 1 - lam, halve; min, scale by
     lam; add), so its bits hold on subnormal inputs too, where halving
     (1 - lam) first could round differently."""
 
@@ -331,7 +327,7 @@ def _star(lam, extreme):
         mean = np.add(x, y)
         mean *= 1.0 - lam
         mean /= 2.0
-        out = extreme(x, y, out=out)
+        out = np.minimum(x, y, out=out)
         out *= lam
         out += mean
         return out
@@ -344,25 +340,19 @@ def _power_terms(x, w, p):
     return w * x ** p
 
 
-def _extremes(p):
-    """The reduces for mu and nu in the s = x^p domain; s -> s^(1/p)
-    decreases for p < 0, which swaps them."""
-    return (np.maximum, np.minimum) if p > 0 else (np.minimum, np.maximum)
-
-
 def _prepare(B, op, r):
     """B's side of X o B under op for X with r rows: a _Right per
     component, or None where GeneralizedMean with lam in {0, 1}
-    collapses to one argument."""
+    collapses to one argument. A component reducing by min (see
+    compose) is negated."""
     if isinstance(op, ConvexCombo):
-        return _Right(B.mu, r, np.maximum), _Right(B.nu, r, np.minimum)
+        return _Right(B.mu, r), _Right(-B.nu, r)
     if op.lam in (0.0, 1.0):
         return None
-    hi, lo = _extremes(op.p)
-    w = 1.0 - op.lam
+    w = math.copysign(1.0 - op.lam, op.p)
     with np.errstate(divide="ignore", over="ignore"):
-        return (_Right(_power_terms(B.mu, w, op.p), r, hi),
-                _Right(_power_terms(B.nu, w, op.p), r, lo))
+        return (_Right(_power_terms(B.mu, w, op.p), r),
+                _Right(_power_terms(B.nu, -w, op.p), r))
 
 
 def compose(A, B, op, *, _right=None):
@@ -375,18 +365,26 @@ def compose(A, B, op, *, _right=None):
     and come back as 0), so reducing s first picks the same element as
     reducing the means, and the final power gives the same bits.
 
+    The kernel reduces by max only: the component that reduces by min
+    (nu, or mu for GeneralizedMean with p < 0) runs on negated terms on
+    both sides and is negated back, min(v) = -max(-v), with the min's
+    bits. Negation is exact; +, weighting and halving round alike for x
+    and -x, and min and max trade places, so the star on negated terms
+    is nu's combine negated. Ifm stores +0.0, so every zero on the
+    negated side is -0.0 and equal terms keep equal bits, as
+    _reduce_rows' certificate needs. At p < 0 a zero gives +inf, or -inf
+    negated; a component's two sides share one sign, so no inf - inf.
+
     B's side of the work (its s-domain terms, their tiles and candidate
     partitions; see _prepare) is done once per call, or once per fold
     when power or power_sequence passes A's prepared side as _right.
     Both families reduce a combine that is monotone in each argument (+
-    in the s domain; min, max, + and non-negative scaling for
-    ConvexCombo), so _reduce_rows proves most entries of a reduction
-    over PRUNE_MIN_T or more terms from the PRUNE_K extreme terms of
-    their row and column: an entry whose candidate reaches the bound
-    formed from the next-largest terms is exact. Entries the bound
-    cannot prove are reduced over every t in _reduce_full's contiguous
-    chunks or one by one; the output is bit-identical either way. Both
-    kernels size their row chunks and groups by CHUNK_BYTES.
+    in the s domain; min, + and non-negative scaling for ConvexCombo),
+    so _reduce_rows proves most entries of a reduction over PRUNE_MIN_T
+    or more terms from the PRUNE_K largest terms of their row and
+    column. Entries the bound cannot prove are reduced over every t in
+    _reduce_full's contiguous chunks or one by one; the output is
+    bit-identical either way.
     """
     if A.cols != B.rows:
         raise DimensionMismatchError(
@@ -406,19 +404,20 @@ def compose(A, B, op, *, _right=None):
             mu = np.repeat(B.mu.max(axis=0)[None, :], A.rows, axis=0)
             nu = np.repeat(B.nu.min(axis=0)[None, :], A.rows, axis=0)
         else:
-            hi, lo = _extremes(p)
+            w = math.copysign(lam, p)
             with np.errstate(divide="ignore", over="ignore"):
-                mu = _reduce_rows(hi, np.add, _power_terms(A.mu, lam, p), right[0])
-                nu = _reduce_rows(lo, np.add, _power_terms(A.nu, lam, p), right[1])
+                mu = _reduce_rows(np.add, _power_terms(A.mu, w, p), right[0])
+                nu = _reduce_rows(np.add, _power_terms(A.nu, -w, p), right[1])
+            mu, nu = (mu, -nu) if p > 0 else (-mu, nu)
             mu **= 1.0 / p
             nu **= 1.0 / p
     else:
-        mu = _reduce_rows(np.maximum, _star(op.lam, np.minimum), A.mu, right[0])
-        nu = _reduce_rows(np.minimum, _star(op.lam, np.maximum), A.nu, right[1])
-    # Guard against float spill just outside [0, 1]. Every term above is
-    # non-negative and never NaN (w * x^p has w > 0, +inf at p < 0 comes
-    # back as +0.0, and the star adds non-negative products), so the
-    # fresh, clipped arrays are wrapped without Ifm's copy and check.
+        combine = _star(op.lam)
+        mu = _reduce_rows(combine, A.mu, right[0])
+        nu = -_reduce_rows(combine, -A.nu, right[1])
+    # Guard against float spill just outside [0, 1]. No term is NaN, and
+    # each negated result comes back >= 0 with no -0.0 (see above), so
+    # the fresh, clipped arrays are wrapped without Ifm's copy and check.
     return Ifm._wrap(mu.clip(0.0, 1.0, out=mu), nu.clip(0.0, 1.0, out=nu))
 
 

@@ -25,6 +25,9 @@ from .matrix import ConvexCombo, GeneralizedMean, Ifm, power
 
 ENUMERATION_CAP = 10**7
 
+# Largest engine-vs-oracle deviation differential_check accepts.
+ORACLE_TOL = 1e-12
+
 LAMBDA_CHOICES = (0.0, 0.25, 0.5, 0.75, 0.9)
 P_CHOICES = (-1.0, 0.5, 1.0, 2.0)
 
@@ -132,11 +135,10 @@ class DifferentialReport:
     cases: List[tuple] = field(default_factory=list)
 
 
-def differential_check(trials, budget=OracleBudget(), seed=0, tol=1e-12,
-                       power_fn=power):
+def differential_check(trials, budget=OracleBudget(), seed=0, power_fn=power):
     """Run `trials` random engine-vs-oracle comparisons; deterministic
     for a fixed seed. Raises MismatchFoundError with the counterexample
-    on the first disagreement beyond tol.
+    on the first disagreement beyond ORACLE_TOL.
 
     power_fn exists so a deliberately broken engine can be swapped in to
     confirm the check has teeth.
@@ -161,7 +163,7 @@ def differential_check(trials, budget=OracleBudget(), seed=0, tol=1e-12,
         )
         report.max_deviation = max(report.max_deviation, dev)
         report.cases.append((n, m, op, dev))
-        if dev > tol:
+        if dev > ORACLE_TOL:
             raise MismatchFoundError(
                 f"trial {t}: engine and oracle disagree by {dev} "
                 f"(n={n}, m={m}, op={op})",

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -245,6 +246,19 @@ def test_parse_grid_colon_inclusive():
     grid = parse_grid("0:1:0.1")
     assert len(grid) == 11
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_parse_grid_steps_in_exact_decimals():
+    assert parse_grid("0.1:0.9:0.2") == [0.1, 0.3, 0.5, 0.7, 0.9]
+    assert parse_grid("0:0.9:0.3") == [0.0, 0.3, 0.6, 0.9]
+    assert parse_grid("1:0.95:0.1") == []
+    assert parse_grid("0.5:0.5:0.1") == [0.5]
+
+
+@pytest.mark.parametrize("text", ["0:1:abc", "0:1:0x1", "0:1:0", "0:1:-0.1", "0:1", "0:1:2:3"])
+def test_parse_grid_rejects_malformed_grids(text):
+    with pytest.raises(ValueError):
+        parse_grid(text)
 
 
 def test_parse_grid_commas():
@@ -611,6 +625,17 @@ class TestSweepCommand:
         assert "points" in capsys.readouterr().err
         assert peak < 2**20
 
+    def test_malformed_grid_exits_2(self, a_file, capsys):
+        assert main(["sweep", "--input", a_file, "--lambda-grid", "0:1:abc"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_colon_grid_lambdas_exact(self, a_file, capsys):
+        code = main(["sweep", "--input", a_file, "--op", "star",
+                     "--lambda-grid", "0.1:0.9:0.2", "--max-iter", "5"])
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert code == 0
+        assert [r["lambda"] for r in rows] == ["0.1", "0.3", "0.5", "0.7", "0.9"]
+
     def test_empty_grid_exits_2(self, a_file):
         assert main(["sweep", "--input", a_file,
                      "--lambda-grid", ",", "--p-grid", "1"]) == 2
@@ -644,3 +669,4 @@ class TestOracleCheckCommand:
 
     def test_zero_cases_exits_2(self, capsys):
         assert main(["oracle-check", "--cases", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: trials must be >= 1")

@@ -119,6 +119,12 @@ def test_non_finite_components_rejected(bad):
         Ifm([[0.5, 0.2]], [[0.1, bad]])
 
 
+def _star_reference(lam, extreme):
+    """ConvexCombo's combine for mu (extreme = np.minimum) or for nu
+    (np.maximum), written out as one expression."""
+    return lambda x, y: lam * extreme(x, y) + (1.0 - lam) * (x + y) / 2.0
+
+
 def _broadcast_compose(A, B, op):
     """Reference: the n^3 broadcast formula, with one power mean per
     (i, t, j) cell, that compose evaluated before the row-blocked
@@ -134,11 +140,8 @@ def _broadcast_compose(A, B, op):
         mu = grid(A.mu, B.mu).max(axis=1)
         nu = grid(A.nu, B.nu).min(axis=1)
     else:
-        lam = op.lam
-        x, y = A.mu[:, :, None], B.mu[None, :, :]
-        mu = (lam * np.minimum(x, y) + (1.0 - lam) * (x + y) / 2.0).max(axis=1)
-        x, y = A.nu[:, :, None], B.nu[None, :, :]
-        nu = (lam * np.maximum(x, y) + (1.0 - lam) * (x + y) / 2.0).min(axis=1)
+        mu = _star_reference(op.lam, np.minimum)(A.mu[:, :, None], B.mu[None]).max(axis=1)
+        nu = _star_reference(op.lam, np.maximum)(A.nu[:, :, None], B.nu[None]).min(axis=1)
     return np.clip(mu, 0.0, 1.0), np.clip(nu, 0.0, 1.0)
 
 
@@ -471,10 +474,10 @@ def _reference_reduce_rows(reduce, combine, x, y):
     return out
 
 
-def _reference_on_right(reduce, combine, x, right):
-    """_reference_reduce_rows with the signature of _reduce_rows, whose
-    right factor comes prepared."""
-    return _reference_reduce_rows(reduce, combine, x, right.y)
+def _reference_on_right(combine, x, right):
+    """_reference_reduce_rows by max, with the signature of _reduce_rows,
+    whose right factor comes prepared."""
+    return _reference_reduce_rows(np.maximum, combine, x, right.y)
 
 
 def _late_input(n, kind, seed):
@@ -510,6 +513,8 @@ class TestPrunedKernel:
     @pytest.mark.parametrize("kind", ["signed-zeros", "constant-columns", "coarse-grid"])
     @pytest.mark.parametrize("n", [64, 100, 150])
     def test_late_iterates_bit_identical(self, monkeypatch, n, kind):
+        # The broadcast formula reduces mu and nu by max and min on the
+        # terms as they are, where compose negates the min side.
         A = _late_input(n, kind, n)
         for op in LATE_OPS:
             X = power(A, 20, op)
@@ -517,8 +522,9 @@ class TestPrunedKernel:
             with monkeypatch.context() as m:
                 m.setattr(matrix, "_reduce_rows", _reference_on_right)
                 want = compose(X, A, op)
-            assert got.mu.tobytes() == want.mu.tobytes(), op
-            assert got.nu.tobytes() == want.nu.tobytes(), op
+            mu, nu = _broadcast_compose(X, A, op)
+            assert got.mu.tobytes() == want.mu.tobytes() == mu.tobytes(), op
+            assert got.nu.tobytes() == want.nu.tobytes() == nu.tobytes(), op
 
     def test_late_iterate_mostly_certified(self):
         # Every entry outside the candidates costs t combine terms, so
@@ -536,19 +542,20 @@ class TestPrunedKernel:
             terms.append(out.size)
             return out
 
-        got = matrix._reduce_rows(np.maximum, counted_add, x, matrix._Right(y, n, np.maximum))
+        got = matrix._reduce_rows(counted_add, x, matrix._Right(y, n))
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert sum(terms) < n * n * (2 * PRUNE_K + 1) + 0.1 * n**3
 
     def test_every_path_bit_identical(self, monkeypatch):
-        # A min-plus reduction where each row of x and column of y holds
-        # PRUNE_K small entries among large ones, so most entries are
-        # certified. Crossed rows meet crossed columns where every
-        # candidate term lies above the bound, which the other t attain:
-        # two such rows, one in the probe, are recomputed entry by entry,
-        # and the last two row groups, all crossed, are reduced in full.
+        # A min-plus reduction, run as the kernel's max-plus on negated
+        # terms, where each row of x and column of y holds PRUNE_K small
+        # entries among large ones, so most entries are certified.
+        # Crossed rows meet crossed columns where every candidate term
+        # lies above the bound, which the other t attain: two such rows,
+        # one in the probe, are recomputed entry by entry, and the last
+        # two row groups, all crossed, are reduced in full.
         # Rows and columns holding 0.0 at the same three t give zero
-        # minima.
+        # minima, which come back from -0.0 as +0.0.
         rng = np.random.default_rng(8)
         n = 200
         bounds = [*range(0, n, CHUNK_BYTES // (8 * PRUNE_K * n)), n]  # row groups
@@ -592,12 +599,12 @@ class TestPrunedKernel:
 
         full = matrix._reduce_full
 
-        def spy(reduce, combine, x, y, out=None):
+        def spy(combine, x, y, out=None):
             full_rows.append(x.shape[0])
-            return full(reduce, combine, x, y, out)
+            return full(combine, x, y, out)
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = matrix._reduce_rows(np.minimum, traced_add, x, matrix._Right(y, n, np.minimum))
+        got = -matrix._reduce_rows(traced_add, -x, matrix._Right(-y, n))
         want = _reference_reduce_rows(np.minimum, np.add, x, y)
         assert got.tobytes() == want.tobytes()
         zeros = got == 0
@@ -628,12 +635,12 @@ class TestPrunedKernel:
 
         full = matrix._reduce_full
 
-        def spy(reduce, combine, x, y, out=None):
+        def spy(combine, x, y, out=None):
             full_rows.append(x.shape[0])
-            return full(reduce, combine, x, y, out)
+            return full(combine, x, y, out)
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = matrix._reduce_rows(np.maximum, traced_add, x, matrix._Right(y, n, np.maximum))
+        got = matrix._reduce_rows(traced_add, x, matrix._Right(y, n))
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert (got == 1.0).sum() == ((n + 2) // 3) ** 2
         assert full_rows == []
@@ -646,9 +653,9 @@ class TestPrunedKernel:
         calls = []
         full = matrix._reduce_full
 
-        def spy(reduce, combine, x, y, out=None):
+        def spy(combine, x, y, out=None):
             calls.append(x.shape[0])
-            return full(reduce, combine, x, y, out)
+            return full(combine, x, y, out)
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
         got = compose(A, A, op)
@@ -666,9 +673,9 @@ class TestPrunedKernel:
         full_rows = []
         full = matrix._reduce_full
 
-        def spy(reduce, combine, x, y, out=None):
+        def spy(combine, x, y, out=None):
             full_rows.append(x.shape[0])
-            return full(reduce, combine, x, y, out)
+            return full(combine, x, y, out)
 
         def peak():
             tracemalloc.start()
@@ -707,16 +714,17 @@ class TestPrunedKernel:
         full_calls = []
         full = matrix._reduce_full
 
-        def spy(reduce, combine, x, y, out=None):
-            full_calls.append((reduce, x.shape[0]))
-            return full(reduce, combine, x, y, out)
+        def spy(combine, x, y, out=None):
+            # nu's terms are negated, so each carries the sign bit.
+            full_calls.append(("nu" if np.signbit(x).all() else "mu", x.shape[0]))
+            return full(combine, x, y, out)
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
         got = compose(X, A, op)
         # mu is pruned. nu declines at the probe: its rows and many
         # columns of A.nu hold more than PRUNE_K zeros, so the bound is 0
         # and candidate lists padded past those ties seldom reach it.
-        assert full_calls == [(np.minimum, n)]
+        assert full_calls == [("nu", n)]
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
 
@@ -732,9 +740,9 @@ class TestPrunedKernel:
         full_rows = []
         full = matrix._reduce_full
 
-        def spy(reduce, combine, x, y, out=None):
+        def spy(combine, x, y, out=None):
             full_rows.append(x.shape[0])
-            return full(reduce, combine, x, y, out)
+            return full(combine, x, y, out)
 
         with monkeypatch.context() as m:
             m.setattr(matrix, "_reduce_full", spy)
@@ -747,24 +755,28 @@ class TestPrunedKernel:
 
 
 def _kernel_terms(kind, r, t, c, seed):
-    """x, y and combine for one reduction: sums of [0, 1) terms, sums of
-    p < 0 power terms where zeros give +inf, or ConvexCombo's combine."""
+    """x and y for one reduction, the kernel's combine, and the
+    reference combines for a max and a min reduce: sums of [0, 1)
+    terms, sums of p < 0 power terms where zeros give +inf, or
+    ConvexCombo's combines."""
     rng = np.random.default_rng(seed)
     x, y = rng.random((r, t)), rng.random((t, c))
     x[rng.random((r, t)) < 0.1] = 0.0
     y[rng.random((t, c)) < 0.1] = 0.0
     if kind == "star":
-        return x, y, matrix._star(0.3, np.minimum)
+        return x, y, matrix._star(0.3), {np.maximum: _star_reference(0.3, np.minimum),
+                                         np.minimum: _star_reference(0.3, np.maximum)}
     if kind == "negative-p":
         with np.errstate(divide="ignore"):
             x, y = 0.6 * x**-1.5, 0.4 * y**-1.5
-    return x, y, np.add
+    return x, y, np.add, {np.maximum: np.add, np.minimum: np.add}
 
 
 class TestChunkedKernel:
     """_reduce_full reduces chunks of rows laid out as contiguous
     (t, rows * c) buffers; every output bit must match the old-layout
-    reference, which broadcasts (rows, t, c) blocks."""
+    reference, which broadcasts (rows, t, c) blocks. A min reduce runs
+    as the max of the negated terms, negated back."""
 
     @pytest.mark.parametrize("shapes", [
         [*((1, n, n) for n in range(1, 6)), *((n, n, n) for n in range(1, 6)), (1, 100, 100)],
@@ -773,14 +785,14 @@ class TestChunkedKernel:
     ], ids=["small", "t-pruned", "t-not-pruned"])
     def test_bit_identical_to_reference(self, shapes):
         for r, t, c in shapes:
-            for reduce in (np.maximum, np.minimum):
-                for kind in ("sums", "negative-p", "star"):
-                    x, y, combine = _kernel_terms(kind, r, t, c, r * t * c)
-                    right = matrix._Right(y, r, reduce)
+            for kind in ("sums", "negative-p", "star"):
+                x, y, combine, reference = _kernel_terms(kind, r, t, c, r * t * c)
+                for reduce, sign in ((np.maximum, 1.0), (np.minimum, -1.0)):
+                    right = matrix._Right(sign * y, r)
                     # Every case with several chunks ends in a partial one.
                     assert right.rows == r or r % right.rows
-                    got = matrix._reduce_full(reduce, combine, x, right)
-                    want = _reference_reduce_rows(reduce, combine, x, y)
+                    got = sign * matrix._reduce_full(combine, sign * x, right)
+                    want = _reference_reduce_rows(reduce, reference[reduce], x, y)
                     assert got.tobytes() == want.tobytes(), (r, t, c, reduce, kind)
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 2.0), ConvexCombo(0.5)])
@@ -793,25 +805,26 @@ class TestChunkedKernel:
         prepared, partitions = [], []
         right, top = matrix._Right, matrix._top
 
-        def right_spy(y, r, reduce):
-            prepared.append(reduce)
-            return right(y, r, reduce)
+        # nu's terms are negated, so each carries the sign bit.
+        def right_spy(y, r):
+            prepared.append(np.signbit(y).all())
+            return right(y, r)
 
-        def top_spy(v, largest):
+        def top_spy(v):
             if v.shape == (n, n):
-                partitions.append(largest)
-            return top(v, largest)
+                partitions.append(np.signbit(v).all())
+            return top(v)
 
         monkeypatch.setattr(matrix, "_Right", right_spy)
         monkeypatch.setattr(matrix, "_top", top_spy)
         power(A, 10, op)
-        assert prepared == [np.maximum, np.minimum]  # mu, then nu
-        assert partitions == [True, False]
+        assert prepared == [False, True]  # mu, then nu
+        assert partitions == [False, True]
         prepared.clear()
         partitions.clear()
         assert power_sequence(A, op, max_iter=9).iterations == 9
-        assert prepared == [np.maximum, np.minimum]
-        assert partitions == [True, False]
+        assert prepared == [False, True]
+        assert partitions == [False, True]
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
     def test_star_subnormal_inputs_bit_identical(self, lam):

@@ -242,7 +242,7 @@ def test_one_row_chunks_match_oracle_on_edge_inputs(monkeypatch):
     # At n <= 5 every reduction fits one chunk; a one-byte budget makes
     # each chunk hold one row of the left factor.
     monkeypatch.setattr(matrix, "CHUNK_BYTES", 1)
-    assert matrix._Right(np.ones((5, 5)), 5, np.maximum).rows == 1
+    assert matrix._Right(np.ones((5, 5)), 5).rows == 1
     rng = random.Random(57)
     budget = OracleBudget(max_n=5, max_m=5)
     for _ in range(300):
@@ -264,9 +264,9 @@ def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, max_miss):
     pruned = []
     top = matrix._top
 
-    def spy(v, largest):
+    def spy(v):
         pruned.append(v.shape)
-        return top(v, largest)
+        return top(v)
 
     monkeypatch.setattr(matrix, "_top", spy)
     rng = random.Random(56)
