@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import fractions
 import json
 import math
 import sys
@@ -164,7 +165,7 @@ GRID_MAX_POINTS = 10**6
 
 def parse_grid(text):
     """Grid flag: either 'start:stop:step', every start + k * step up to
-    stop in exact decimal steps (at most GRID_MAX_POINTS points), or a
+    stop in exact steps (at most GRID_MAX_POINTS points), or a
     comma-separated value list."""
     if ":" in text:
         parts = text.split(":")
@@ -172,11 +173,20 @@ def parse_grid(text):
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         if not all(math.isfinite(float(x)) for x in parts):
             raise ValueError(f"grid bounds and step must be finite, got {text!r}")
-        # Any text float() reads as finite is a valid Decimal, so
-        # 0.1:0.9:0.2 steps to 0.3, not 0.30000000000000004.
+        # Any text float() reads as finite is a valid Decimal, and a
+        # Decimal is an exact Fraction, so 0.1:0.9:0.2 steps to 0.3, not
+        # 0.30000000000000004, and no step is rounded into an extra
+        # point. Decimal also reads underscores where Fraction may not.
         start, stop, step = (decimal.Decimal(x) for x in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
+        # Exact arithmetic pays for every decimal place, and 1e-999999999
+        # has a billion of them; a part that underflows to 0.0 as a float
+        # means nothing to the grid anyway.
+        if any(x and not float(x) for x in (start, stop, step)):
+            raise ValueError(f"grid bounds and step must be 0 or not underflow "
+                             f"to 0.0, got {text!r}")
+        start, stop, step = (fractions.Fraction(x) for x in (start, stop, step))
         # Points are counted before any is built, so a tiny step costs
         # nothing; floor keeps a stop below start empty.
         count = math.floor((stop - start) / step) + 1
@@ -296,28 +306,28 @@ def cmd_analyze(args):
 
 def cmd_sweep(args):
     A = _load_matrix(args.input)
-    lambdas = parse_grid(args.lambda_grid)
-    ps = parse_grid(args.p_grid) if args.op == "gen-mean" else [None]
-    if not lambdas or not ps:
+    lambdas = sorted(parse_grid(args.lambda_grid))
+    # Every operator is built, and so checked, before the first fold.
+    if args.op == "gen-mean":
+        ps = sorted(parse_grid(args.p_grid))
+        ops = [GeneralizedMean(lam, p) for lam in lambdas for p in ps]
+    else:
+        ops = [ConvexCombo(lam) for lam in lambdas]
+    if not ops:
         raise ParseError("parameter grids must be non-empty")
     rows = []
-    for lam in sorted(lambdas):
-        for p in sorted(ps, key=lambda x: (x is None, x)):
-            if args.op == "gen-mean":
-                op = GeneralizedMean(lam, p)
-            else:
-                op = ConvexCombo(lam)
-            report = power_sequence(A, op, eps=args.eps, max_iter=args.max_iter)
-            mu_dist = float((1.0 - report.limit.mu).max())
-            rows.append([
-                lam,
-                "" if p is None else p,
-                report.converged,
-                report.iterations,
-                f"{report.deltas[-1]:.17g}",
-                f"{mu_dist:.17g}",
-                "no-guarantee" if lam == 1.0 else "",
-            ])
+    for op in ops:
+        report = power_sequence(A, op, eps=args.eps, max_iter=args.max_iter)
+        mu_dist = float((1.0 - report.limit.mu).max())
+        rows.append([
+            op.lam,
+            getattr(op, "p", ""),
+            report.converged,
+            report.iterations,
+            f"{report.deltas[-1]:.17g}",
+            f"{mu_dist:.17g}",
+            "no-guarantee" if op.lam == 1.0 else "",
+        ])
     out = (open(args.output, "w", newline="", encoding="utf-8") if args.output
            else sys.stdout)
     try:

@@ -248,21 +248,14 @@ def _reduce_full(combine, x, right, out=None):
 
 
 def _top(v):
-    """For each row of v: PRUNE_K column indices that include every
-    entry above v', the (PRUNE_K + 1)-th largest entry; the entries at
-    those indices; and v'. A row with ties at v' has fewer entries
-    above it, and its list is padded with column 0, a harmless extra
-    candidate."""
-    r, n = v.shape
-    kth = n - PRUNE_K - 1
-    nxt = np.partition(v, kth, axis=1)[:, kth:kth + 1]
-    # flatnonzero is several times faster than a 2-D nonzero.
-    flat = np.flatnonzero(v > nxt)
-    rows = flat // n
-    counts = np.bincount(rows, minlength=r)
-    top = np.zeros((r, PRUNE_K), dtype=np.intp)
-    top[rows, np.arange(len(flat)) - (np.cumsum(counts) - counts)[rows]] = flat - rows * n
-    return top, v[np.arange(r)[:, None], top], nxt[:, 0]
+    """For each row of v: the column indices of its PRUNE_K largest
+    entries (ties at the boundary kept in any order), the entries at
+    those indices, and v', the (PRUNE_K + 1)-th largest entry, which no
+    other entry of the row exceeds."""
+    kth = v.shape[1] - PRUNE_K - 1
+    idx = np.argpartition(v, kth, axis=1)[:, kth:]
+    val = np.take_along_axis(v, idx, axis=1)
+    return idx[:, 1:], val[:, 1:], val[:, 0]
 
 
 def _reduce_rows(combine, x, right):
@@ -272,14 +265,15 @@ def _reduce_rows(combine, x, right):
     Where right carries a partition (reductions of PRUNE_MIN_T or more
     terms), entries are proven by a certificate (the threshold rule of
     top-k aggregation). Let S_i hold the PRUNE_K t with the largest
-    x[i, t] and T_j those with the largest y[t, j]; every other t has
-    x[i, t] <= x'_i and y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest
-    values. Floating-point +, min and scaling by a non-negative
-    constant are monotone, so combine(x'_i, y'_j) bounds every term
-    outside S_i | T_j, and an entry whose max over those 2 * PRUNE_K
-    candidates reaches the bound is the full max, bit for bit: with no
-    NaN and zeros of one sign only among the terms (see compose), a max
-    is the same float whichever equal term it keeps. Entries the bound
+    x[i, t] and T_j those with the largest y[t, j], ties at the
+    boundary taken in any order; every other t has x[i, t] <= x'_i and
+    y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest values.
+    Floating-point +, min and scaling by a non-negative constant are
+    monotone, so combine(x'_i, y'_j) bounds every term outside
+    S_i | T_j, and an entry whose max over those 2 * PRUNE_K candidates
+    reaches the bound is the full max, bit for bit: with no NaN and
+    zeros of one sign only among the terms (see compose), a max is the
+    same float whichever equal term it keeps. Entries the bound
     cannot prove are reduced over every t again, one by one.
 
     Rows are taken in groups whose (rows, PRUNE_K, c) candidate grids
@@ -437,13 +431,6 @@ def power(A, k, op):
     return result
 
 
-def _digest(M):
-    """16 bytes that stand for M in power_sequence's cycle detection.
-    hashlib is imported here because it loads OpenSSL, about 5 ms."""
-    import hashlib
-    return hashlib.blake2b(M.mu.tobytes() + M.nu.tobytes(), digest_size=16).digest()
-
-
 def delta(A, B):
     """Max componentwise absolute difference over all entries."""
     if A.mu.shape != B.mu.shape:
@@ -519,11 +506,12 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
     deltas[i] is delta(A^(i+2), A^(i+1)); bound_trace carries the
     matching theoretical bound (None where no guarantee holds).
     ConvexCombo(1.0) does not contract, so exact repeats are detected
-    instead and reported as an oscillation period: a power whose digest
+    instead and reported as an oscillation period: a power whose hash
     matches that of an earlier A^k is a repeat once A^k, folded again,
-    equals it bit for bit. GeneralizedMean with lam in {0, 1} has
-    A^3 = A^2, so it stops at delta = 0 before any repeat could be
-    seen, and is not hashed.
+    equals it bit for bit. Every earlier k with that hash is tried, so
+    a collision cannot hide a repeat. GeneralizedMean with lam in
+    {0, 1} has A^3 = A^2, so it stops at delta = 0 before any repeat
+    could be seen, and is not hashed.
     """
     if not A.is_square():
         raise DimensionMismatchError("powers require a square matrix")
@@ -533,7 +521,7 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     detect_cycles = isinstance(op, ConvexCombo) and op.lam == 1.0
-    seen = {_digest(A): 1} if detect_cycles else None
+    seen = {hash(A): [1]} if detect_cycles else None
 
     report = ConvergenceReport(limit=A, iterations=0, converged=False)
     report.sum_violations = A.sum_violations()
@@ -551,9 +539,11 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
             report.converged = True
             return report
         if detect_cycles:
-            k = seen.setdefault(_digest(cur), m)
-            if k < m and power(A, k, op) == cur:
-                report.oscillation_period = m - k
-                return report
+            ks = seen.setdefault(hash(cur), [])
+            for k in ks:
+                if power(A, k, op) == cur:
+                    report.oscillation_period = m - k
+                    return report
+            ks.append(m)
         prev = cur
     return report

@@ -60,6 +60,20 @@ def _fold_for(op):
     return fold
 
 
+def _check_budget(n, m, budget):
+    """Raise BudgetExceededError unless m-walks on n vertices fit the
+    budget and ENUMERATION_CAP."""
+    if n > budget.max_n or m > budget.max_m:
+        raise BudgetExceededError(
+            f"n={n}, m={m} exceeds budget (max_n={budget.max_n}, max_m={budget.max_m})"
+        )
+    if n ** (m + 1) > ENUMERATION_CAP:
+        raise BudgetExceededError(
+            f"n={n}, m={m} exceeds ENUMERATION_CAP: n^(m+1) = {n ** (m + 1)} "
+            f"> {ENUMERATION_CAP}"
+        )
+
+
 def brute_force_power(A, m, op, budget=OracleBudget()):
     """Entry (i, j) of A^m as <max, min> of weights over all m-walks
     from i to j, with walk weights computed by explicit left-fold.
@@ -76,10 +90,7 @@ def brute_force_power(A, m, op, budget=OracleBudget()):
     n = A.rows
     if m < 1:
         raise ValueError(f"power exponent must be >= 1, got {m}")
-    if n > budget.max_n or m > budget.max_m or n ** (m + 1) > ENUMERATION_CAP:
-        raise BudgetExceededError(
-            f"n={n}, m={m} exceeds budget (max_n={budget.max_n}, max_m={budget.max_m})"
-        )
+    _check_budget(n, m, budget)
     entries = [list(zip(row_mu, row_nu))
                for row_mu, row_nu in zip(A.mu.tolist(), A.nu.tolist())]
     fold = _fold_for(op)
@@ -154,6 +165,9 @@ def differential_check(trials, budget=OracleBudget(), seed=0, power_fn=power):
     for t in range(trials):
         n = rng.randint(2, budget.max_n)
         m = rng.randint(2, budget.max_m)
+        # Before any work: a draw past ENUMERATION_CAP could also hold
+        # a matrix too large to build.
+        _check_budget(n, m, budget)
         A = random_ifm(rng, n)
         op = random_operator(rng)
         got = power_fn(A, m, op)

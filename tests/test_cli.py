@@ -253,6 +253,8 @@ def test_parse_grid_steps_in_exact_decimals():
     assert parse_grid("0:0.9:0.3") == [0.0, 0.3, 0.6, 0.9]
     assert parse_grid("1:0.95:0.1") == []
     assert parse_grid("0.5:0.5:0.1") == [0.5]
+    # 3 * step exceeds 1 by 2e-34, which a 28-digit quotient rounds away.
+    assert parse_grid("0:1:0.3333333333333333333333333333334") == [0.0, 1 / 3, 2 / 3]
 
 
 @pytest.mark.parametrize("text", ["0:1:abc", "0:1:0x1", "0:1:0", "0:1:-0.1", "0:1", "0:1:2:3"])
@@ -277,9 +279,11 @@ def test_parse_grid_counts_points_before_building():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("text", ["0:1:nan", "0:inf:1", "nan:1:0.1", "0:1:inf", "-1e308:1e308:1e-308"])
+@pytest.mark.parametrize("text", ["0:1:nan", "0:inf:1", "nan:1:0.1", "0:1:inf", "-1e308:1e308:1e-308",
+                                  "0:1e-999999999:1e-999999999"])
 def test_parse_grid_rejects_unbounded_grids(text):
-    # "0:1:nan" and "0:inf:1" used to loop forever.
+    # "0:1:nan" and "0:inf:1" used to loop forever, and exact counting
+    # would spell out the billion places of 1e-999999999.
     with pytest.raises(ValueError):
         parse_grid(text)
 
@@ -635,6 +639,18 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert code == 0
         assert [r["lambda"] for r in rows] == ["0.1", "0.3", "0.5", "0.7", "0.9"]
+
+    def test_bad_point_exits_before_any_fold(self, a_file, capsys, monkeypatch):
+        # lambda = 2 is rejected before lambda = 0.9 is folded.
+        def never(*args, **kwargs):
+            raise AssertionError("a power sequence ran")
+
+        monkeypatch.setattr(cli, "power_sequence", never)
+        assert main(["sweep", "--input", a_file, "--lambda-grid", "0.9,2",
+                     "--p-grid=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lambda must lie in [0, 1], got 2.0\n"
 
     def test_empty_grid_exits_2(self, a_file):
         assert main(["sweep", "--input", a_file,

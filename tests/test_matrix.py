@@ -383,7 +383,7 @@ class TestPowerSequence:
         assert peak < 4 * 2**20
 
     def test_oscillation_matches_kept_powers(self):
-        # The digest-keyed detection reports the period and iteration
+        # The hash-keyed detection reports the period and iteration
         # count of a search that keeps every power; these inputs repeat
         # after a preperiod, so each hit folds A^k again.
         op = ConvexCombo(1.0)
@@ -402,17 +402,22 @@ class TestPowerSequence:
             assert rep.iterations == len(kept) - 1, seed
 
     def test_digest_hit_needs_an_equal_power(self, monkeypatch):
-        # Every power gets the same digest, so every step is a hit
-        # against A itself. The flip matrix returns to A, and its period
-        # is found; a random input leaves A behind for good, and no
-        # period is reported.
-        monkeypatch.setattr(matrix, "_digest", lambda M: b"")
+        # Every power gets the same hash, so every step is a hit against
+        # every earlier power. The flip matrix returns to A, and its
+        # period is found; random inputs leave A behind, and their
+        # repeats are still found against a later A^k with that hash.
+        op = ConvexCombo(1.0)
         flip = Ifm.from_pairs([[(0, 1), (1, 0)], [(1, 0), (0, 1)]])
-        rep = power_sequence(flip, ConvexCombo(1.0), max_iter=50)
-        assert rep.oscillation_period == 2 and rep.iterations == 2
-        rep = power_sequence(_random_ifm(8, 0), ConvexCombo(1.0), max_iter=50)
-        assert rep.oscillation_period is None
-        assert rep.iterations == 50 and not rep.converged
+        inputs = [flip, *(_random_ifm(8, seed) for seed in range(8))]
+        want = [power_sequence(A, op, max_iter=100) for A in inputs]
+        monkeypatch.setattr(Ifm, "__hash__", lambda M: 0)
+        for A, w in zip(inputs, want):
+            rep = power_sequence(A, op, max_iter=100)
+            assert (rep.iterations, rep.oscillation_period, rep.converged) == (
+                w.iterations, w.oscillation_period, w.converged)
+            assert rep.limit == w.limit
+        assert want[0].oscillation_period == 2 and want[0].iterations == 2
+        assert sum(w.oscillation_period is not None for w in want[1:]) >= 6
 
     def test_lambda_one_gen_mean_no_bound_claim(self):
         rep = power_sequence(A3, GeneralizedMean(1.0, 1.0), eps=1e-12, max_iter=50)
@@ -574,8 +579,8 @@ class TestPrunedKernel:
             return v
 
         x, y = dominant(zero_rows), dominant(zero_cols).T.copy()
-        # Entry (70, 180): ties at the (PRUNE_K + 1)-th value pad both
-        # candidate lists with t = 0.
+        # Entry (70, 180): two zeros and seven ties at the
+        # (PRUNE_K + 1)-th value, so both candidate lists end in ties.
         ties = np.arange(60, 60 + PRUNE_K - 1)
         x[70] = y[:, 180] = 0.95
         x[70, ties] = y[ties, 180] = 0.005
@@ -663,6 +668,34 @@ class TestPrunedKernel:
         monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
         assert got == compose(A, A, op)
 
+    @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), GeneralizedMean(0.6, -1.0),
+                                    ConvexCombo(0.5)], ids=repr)
+    def test_coarse_grid_pruned_after_first_step(self, monkeypatch, op):
+        # A 5-level grid ties most lines at their (PRUNE_K + 1)-th value.
+        # The candidates hold PRUNE_K of the tied terms, which reach the
+        # bound, so only the first step A o A is reduced in full.
+        n = 150
+        A = _late_input(n, "coarse-grid", n)
+        full_steps = []
+        full = matrix._reduce_full
+
+        def spy(combine, x, y, out=None):
+            full_steps.append(m)
+            return full(combine, x, y, out)
+
+        X = A
+        for m in range(2, 11):
+            with monkeypatch.context() as patch:
+                patch.setattr(matrix, "_reduce_full", spy)
+                got = compose(X, A, op)
+            with monkeypatch.context() as patch:
+                patch.setattr(matrix, "_reduce_rows", _reference_on_right)
+                want = compose(X, A, op)
+            assert got.mu.tobytes() == want.mu.tobytes(), m
+            assert got.nu.tobytes() == want.nu.tobytes(), m
+            X = got
+        assert set(full_steps) == {2}
+
     def test_pruned_compose_memory_bounded(self, monkeypatch):
         # Pruning must not raise the peak above that of the kernel that
         # reduces over all t, at the size of the benchmark's power fold.
@@ -721,10 +754,10 @@ class TestPrunedKernel:
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
         got = compose(X, A, op)
-        # mu is pruned. nu declines at the probe: its rows and many
-        # columns of A.nu hold more than PRUNE_K zeros, so the bound is 0
-        # and candidate lists padded past those ties seldom reach it.
-        assert full_calls == [("nu", n)]
+        # Both components are pruned. nu's rows and many columns of A.nu
+        # hold more than PRUNE_K zeros, so the bound is 0, and candidate
+        # lists made of those tied zeros reach it.
+        assert full_calls == []
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
 
@@ -918,7 +951,7 @@ def test_collapsed_gen_mean_stops_at_delta_zero_unhashed(monkeypatch, lam, p):
         A = _random_ifm(6, seed)
         A2 = power(A, 2, op)
         with monkeypatch.context() as m:
-            m.setattr(matrix, "_digest", no_hash)
+            m.setattr(Ifm, "__hash__", no_hash)
             rep = power_sequence(A, op)
         assert rep.converged and rep.oscillation_period is None
         assert rep.iterations == (1 if A2 == A else 2)

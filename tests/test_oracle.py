@@ -61,6 +61,18 @@ def test_budget_enforced():
         brute_force_power(big, 2, GeneralizedMean(0.5, 1))
 
 
+def test_enumeration_cap_checked_before_any_work(monkeypatch):
+    # Seed 3 draws n = 976, m = 2 under this budget: 976^3 walk folds
+    # exceed ENUMERATION_CAP, so the trial stops before it builds its
+    # matrix or runs the engine.
+    def never(*args):
+        raise AssertionError("the trial did work past the cap")
+
+    monkeypatch.setattr(oracle, "random_ifm", never)
+    with pytest.raises(BudgetExceededError, match="ENUMERATION_CAP"):
+        differential_check(1, OracleBudget(max_n=3000, max_m=2), seed=3, power_fn=never)
+
+
 def test_max_min_degenerates_to_first_edge():
     # lam=1 collapses the fold to the first edge, so A^m row i is the
     # row max/min of A itself
