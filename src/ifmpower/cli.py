@@ -85,7 +85,8 @@ def parse_matrix(text):
     if not isinstance(doc, dict) or not {"rows", "cols", "entries"} <= doc.keys():
         raise ParseError("document must carry rows, cols and entries")
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    # bool is an int subclass, and true is not a size.
+    if not all(type(x) is int and x > 0 for x in (rows, cols)):
         raise ParseError("rows and cols must be positive integers")
     if not isinstance(entries, list):
         raise ParseError("entries must be a list of rows")
@@ -192,7 +193,11 @@ def parse_grid(text):
         count = math.floor((stop - start) / step) + 1
         if count > GRID_MAX_POINTS:
             raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
-        return [float(start + k * step) for k in range(count)]
+        # Point k is (a + k * b) / den over the common denominator; int
+        # division rounds correctly, as float(Fraction) does.
+        den = math.lcm(start.denominator, step.denominator)
+        a, b = int(start * den), int(step * den)
+        return [(a + k * b) / den for k in range(count)]
     return [float(x) for x in text.split(",") if x.strip()]
 
 
@@ -291,6 +296,10 @@ def cmd_converge(args):
 def cmd_analyze(args):
     A = _load_matrix(args.input)
     struct = graph.critical_structure(A)
+    # The file is written before any output, so a bad path prints nothing.
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(graph.export_dot(A, struct=struct))
     verts = ", ".join(str(v) for v in sorted(struct.critical_vertices))
     print(f"critical_vertices: {{{verts}}}")
     print(f"critical_edges: {sorted(struct.critical_edges)}")
@@ -298,8 +307,6 @@ def cmd_analyze(args):
         print(f"column {j} limit <1,0>: {'yes' if flag else 'no'}")
     print(f"predict_universal: {'yes' if graph.predict_universal(A) else 'no'}")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph.export_dot(A, struct=struct))
         print(f"dot written: {args.dot}")
     return EXIT_OK
 

@@ -30,8 +30,8 @@ CHUNK_BYTES = 512 * 2**10
 # Pruned reductions in compose (see _reduce_rows): candidate t per row
 # of the left factor and per column of the right one; the shortest
 # reduction that is pruned; and the share of a row group's entries
-# needing a full reduce above which the group, or the whole call when
-# it is the first group, is reduced in full.
+# needing a full reduce above which that group and every later row are
+# reduced in full.
 PRUNE_K = 8
 PRUNE_MIN_T = 8 * PRUNE_K
 PRUNE_MAX_MISS = 0.05
@@ -222,9 +222,9 @@ class _Right:
             self.top = top.T.copy(), val.T.copy(), nxt
 
 
-def _reduce_full(combine, x, right, out=None):
+def _reduce_full(combine, x, right, out):
     """out[i, j] = max over t of combine(x[i, t], y[t, j]), over every
-    t, where y is right.y.
+    t, where y is right.y, written into the caller's (r, c) out.
 
     Rows of x are taken right.rows at a time, a chunk whose buffer
     fits CHUNK_BYTES (or holds one row). repeat lays a chunk out as
@@ -237,8 +237,6 @@ def _reduce_full(combine, x, right, out=None):
     """
     r, t = x.shape
     c = right.y.shape[1]
-    if out is None:
-        out = np.empty((r, c))
     for i in range(0, r, right.rows):
         xb = x[i:i + right.rows]
         buf = xb.T.repeat(c, axis=1)
@@ -278,21 +276,19 @@ def _reduce_rows(combine, x, right):
 
     Rows are taken in groups whose (rows, PRUNE_K, c) candidate grids
     fit CHUNK_BYTES, the budget of _reduce_full's chunks. The first
-    group is the probe: when more than PRUNE_MAX_MISS of its entries
-    need the full reduce (as on a first step A o A), the whole call is
-    reduced in full; a later group past that share is reduced in full
-    on its own.
+    group in which more than PRUNE_MAX_MISS of the entries need the full
+    reduce (as on a first step A o A, where it is the first group) ends
+    pruning: it and every later row are reduced in full.
     """
-    if right.top is None:
-        return _reduce_full(combine, x, right)
-    y = right.y
-    r, c = len(x), y.shape[1]
-    y_top, y_top_val, y_next = right.top
+    r, c = len(x), right.y.shape[1]
     out = np.empty((r, c))
+    if right.top is None:
+        return _reduce_full(combine, x, right, out)
+    y = right.y
+    y_top, y_top_val, y_next = right.top
     step = max(1, CHUNK_BYTES // (8 * PRUNE_K * c))
-    bounds = [*range(0, r, step), r]
-    for i, stop in zip(bounds, bounds[1:]):
-        xb, cand = x[i:stop], out[i:stop]
+    for i in range(0, r, step):
+        xb, cand = x[i:i + step], out[i:i + step]
         x_top, x_top_val, x_next = _top(xb)
         np.maximum.reduce(combine(x_top_val[:, :, None], y[x_top]), axis=1, out=cand)
         np.maximum(cand, combine(np.take(xb, y_top, axis=1), y_top_val).max(axis=1),
@@ -300,10 +296,8 @@ def _reduce_rows(combine, x, right):
         # Not cand < bound: a NaN fails greater_equal and is recomputed.
         need = ~np.greater_equal(cand, combine(x_next[:, None], y_next))
         if np.count_nonzero(need) > PRUNE_MAX_MISS * need.size:
-            if i == 0:
-                return _reduce_full(combine, x, right, out)
-            _reduce_full(combine, xb, right, cand)
-            continue
+            _reduce_full(combine, x[i:], right, out[i:])
+            break
         if need.any():
             mi, mj = np.nonzero(need)
             cand[mi, mj] = combine(xb[mi], y[:, mj].T).max(axis=1)
@@ -329,11 +323,6 @@ def _star(lam):
     return combine
 
 
-def _power_terms(x, w, p):
-    # x^p is +inf for x = 0 (or tiny x) when p < 0; it maps back to 0.
-    return w * x ** p
-
-
 def _prepare(B, op, r):
     """B's side of X o B under op for X with r rows: a _Right per
     component, or None where GeneralizedMean with lam in {0, 1}
@@ -345,8 +334,7 @@ def _prepare(B, op, r):
         return None
     w = math.copysign(1.0 - op.lam, op.p)
     with np.errstate(divide="ignore", over="ignore"):
-        return (_Right(_power_terms(B.mu, w, op.p), r),
-                _Right(_power_terms(B.nu, -w, op.p), r))
+        return _Right(w * B.mu ** op.p, r), _Right(-w * B.nu ** op.p, r)
 
 
 def compose(A, B, op, *, _right=None):
@@ -400,8 +388,8 @@ def compose(A, B, op, *, _right=None):
         else:
             w = math.copysign(lam, p)
             with np.errstate(divide="ignore", over="ignore"):
-                mu = _reduce_rows(np.add, _power_terms(A.mu, w, p), right[0])
-                nu = _reduce_rows(np.add, _power_terms(A.nu, -w, p), right[1])
+                mu = _reduce_rows(np.add, w * A.mu ** p, right[0])
+                nu = _reduce_rows(np.add, -w * A.nu ** p, right[1])
             mu, nu = (mu, -nu) if p > 0 else (-mu, nu)
             mu **= 1.0 / p
             nu **= 1.0 / p

@@ -242,6 +242,17 @@ class TestParseMatrix:
         assert parse_matrix(format_matrix(M)) == M
 
 
+@pytest.mark.parametrize("rows, cols", [(True, True), (1, True), (True, 1)])
+def test_boolean_sizes_rejected(rows, cols, tmp_path, capsys):
+    text = json.dumps({"rows": rows, "cols": cols, "entries": [[{"mu": 0.2, "nu": 0.3}]]})
+    with pytest.raises(ParseError, match="rows and cols must be positive integers"):
+        parse_matrix(text)
+    f = tmp_path / "B.json"
+    f.write_text(text)
+    assert main(["power", "--input", str(f), "--steps", "2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_parse_grid_colon_inclusive():
     grid = parse_grid("0:1:0.1")
     assert len(grid) == 11
@@ -560,6 +571,13 @@ class TestAnalyzeCommand:
         for line in text.splitlines():
             if "->" in line:
                 assert line.strip().endswith("];")
+
+    def test_unwritable_dot_prints_nothing(self, a_file, tmp_path, capsys):
+        code = main(["analyze", "--input", a_file, "--dot", str(tmp_path / "no" / "g.dot")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_dot_file_computes_one_closure(self, a_file, tmp_path, monkeypatch):
         calls = []

@@ -557,14 +557,14 @@ class TestPrunedKernel:
         # entries among large ones, so most entries are certified.
         # Crossed rows meet crossed columns where every candidate term
         # lies above the bound, which the other t attain: two such rows,
-        # one in the probe, are recomputed entry by entry, and the last
-        # two row groups, all crossed, are reduced in full.
+        # one in the probe, are recomputed entry by entry, and the first
+        # of the last two row groups, all crossed, ends pruning, so both
+        # are reduced in full in one call.
         # Rows and columns holding 0.0 at the same three t give zero
         # minima, which come back from -0.0 as +0.0.
         rng = np.random.default_rng(8)
         n = 200
-        bounds = [*range(0, n, CHUNK_BYTES // (8 * PRUNE_K * n)), n]  # row groups
-        last = bounds[-3]  # start of the last two groups
+        last = range(0, n, CHUNK_BYTES // (8 * PRUNE_K * n))[-2]  # start of the last two groups
         zt = np.array([5, 102, 199])
         zero_rows, zero_cols = [*range(30, 40), 50, 51], [0, 1, 2, *range(100, 110)]
 
@@ -614,9 +614,45 @@ class TestPrunedKernel:
         assert got.tobytes() == want.tobytes()
         zeros = got == 0
         assert zeros.sum() == len(zero_rows) * len(zero_cols) + 1
-        assert full_rows == [bounds[-2] - last, n - bounds[-2]]  # the crossed groups, in full
+        assert full_rows == [n - last]  # the crossed groups, in full
         # entry by entry, on fresh grids; the full kernel combines in place
         assert any(len(a) == 2 and a == b and out is None for a, b, out in combines)
+
+    def test_failing_group_ends_pruning(self, monkeypatch):
+        # Each line holds PRUNE_K large entries among small ones, except
+        # the rows of the third row group and 20 columns, which are
+        # crossed: a crossed row is 0.5 but for 0.6 at t_x and 0.0 at t_y,
+        # a crossed column the other way round, so where they meet every
+        # candidate term is 0.6 and the bound is 1.0. The probe passes and
+        # so would the groups after the crossed one, but the crossed
+        # group's misses end pruning: it and every later row are reduced
+        # in full in one call.
+        rng = np.random.default_rng(11)
+        n = 200
+        step = CHUNK_BYTES // (8 * PRUNE_K * n)
+        crossed = slice(2 * step, 3 * step)
+        t_x, t_y = np.arange(110, 110 + PRUNE_K), np.arange(120, 120 + PRUNE_K)
+        free = np.setdiff1d(np.arange(n), [*t_x, *t_y])
+        x, y = rng.random((n, n)) * 0.1, rng.random((n, n)) * 0.1
+        for k in range(n):
+            x[k, rng.choice(free, PRUNE_K, replace=False)] = 0.9 + rng.random(PRUNE_K) * 0.1
+            y[rng.choice(free, PRUNE_K, replace=False), k] = 0.9 + rng.random(PRUNE_K) * 0.1
+        x[crossed] = 0.5
+        x[crossed, t_x], x[crossed, t_y] = 0.6, 0.0
+        y[:, 150:170] = 0.5
+        y[t_y, 150:170], y[t_x, 150:170] = 0.6, 0.0
+        full_calls = []
+        full = matrix._reduce_full
+
+        def spy(combine, x, y, out):
+            full_calls.append((len(x), len(out)))
+            return full(combine, x, y, out)
+
+        monkeypatch.setattr(matrix, "_reduce_full", spy)
+        right = matrix._Right(y, n)
+        got = matrix._reduce_rows(np.add, x, right)
+        assert full_calls == [(n - crossed.start, n - crossed.start)]
+        assert got.tobytes() == _reference_on_right(np.add, x, right).tobytes()
 
     def test_ties_at_the_bound_certified(self, monkeypatch):
         # Each line holds PRUNE_K large entries among small ones, except
@@ -824,7 +860,7 @@ class TestChunkedKernel:
                     right = matrix._Right(sign * y, r)
                     # Every case with several chunks ends in a partial one.
                     assert right.rows == r or r % right.rows
-                    got = sign * matrix._reduce_full(combine, sign * x, right)
+                    got = sign * matrix._reduce_full(combine, sign * x, right, np.empty((r, c)))
                     want = _reference_reduce_rows(reduce, reference[reduce], x, y)
                     assert got.tobytes() == want.tobytes(), (r, t, c, reduce, kind)
 
