@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 input error, 3 math-domain error, 4 non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import decimal
 import fractions
@@ -36,6 +37,7 @@ from .matrix import (
     ConvexCombo,
     GeneralizedMean,
     Ifm,
+    _check_sequence,
     is_universal,
     power,
     power_sequence,
@@ -49,38 +51,17 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_MISMATCH = 5
 
 
-def _bulk_components(entries, rows, cols):
-    """Read the mu and nu grids of `entries` with one numpy conversion
-    each, or return None to leave the document to the per-entry loop.
+def parse_matrix(text):
+    """Parse and validate a JSON matrix document into an Ifm.
 
-    None is returned when a row is not a list of objects with mu and nu,
-    the grid is ragged or of the wrong shape, a value is not a JSON
-    number or boolean, or a value fails the comparisons Ifn makes. The
-    loop then reports the first bad entry in row-major order, or accepts
-    the odd but valid cells this path declines, such as numeric strings.
+    Each row is read whole, through float() as Ifn reads, and checked as
+    Ifn checks. Only a row that fails is read again one Ifn per entry, so
+    the error names the first bad entry. Nothing is sized from the
+    declared rows and cols before the rows are read.
     """
     try:
-        mu = np.array([[cell["mu"] for cell in row] for row in entries])
-        nu = np.array([[cell["nu"] for cell in row] for row in entries])
-    except (TypeError, KeyError, ValueError, IndexError):
-        return None
-    if not (mu.dtype.kind in "biuf" and nu.dtype.kind in "biuf"
-            and mu.shape == nu.shape == (rows, cols)):
-        return None
-    # In float64, as Ifn compares: booleans would add as logical or.
-    mu, nu = mu.astype(np.float64, copy=False), nu.astype(np.float64, copy=False)
-    # Written so that NaN fails the range test.
-    if not (((mu >= 0) & (mu <= 1) & (nu >= 0) & (nu <= 1)).all()
-            and (mu + nu <= 1.0 + SUM_TOL).all()):
-        return None
-    return mu, nu
-
-
-def parse_matrix(text):
-    """Parse and validate a JSON matrix document into an Ifm."""
-    try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not {"rows", "cols", "entries"} <= doc.keys():
         raise ParseError("document must carry rows, cols and entries")
@@ -92,23 +73,32 @@ def parse_matrix(text):
         raise ParseError("entries must be a list of rows")
     if len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
-    grids = _bulk_components(entries, rows, cols)
-    if grids is not None:
-        return Ifm(*grids)
-    mu = np.empty((rows, cols))
-    nu = np.empty((rows, cols))
+    mu, nu = [], []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {i} is ragged: expected {cols} entries")
-        for j, cell in enumerate(row):
-            if not isinstance(cell, dict) or {"mu", "nu"} - cell.keys():
-                raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
-            try:
-                e = Ifn(cell["mu"], cell["nu"])
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
-            mu[i, j] = e.mu
-            nu[i, j] = e.nu
+        try:
+            row_mu = [float(cell["mu"]) for cell in row]
+            row_nu = [float(cell["nu"]) for cell in row]
+            pair = np.array([row_mu, row_nu])
+            # min and max propagate NaN, so NaN fails the range test.
+            valid = (pair.min() >= 0 and pair.max() <= 1
+                     and (pair[0] + pair[1] <= 1.0 + SUM_TOL).all())
+        except (TypeError, KeyError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            row_mu, row_nu = [], []
+            for j, cell in enumerate(row):
+                if not isinstance(cell, dict) or {"mu", "nu"} - cell.keys():
+                    raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
+                try:
+                    e = Ifn(cell["mu"], cell["nu"])
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
+                row_mu.append(e.mu)
+                row_nu.append(e.nu)
+        mu.append(row_mu)
+        nu.append(row_nu)
     return Ifm(mu, nu)
 
 
@@ -148,6 +138,14 @@ def format_matrix(M, display=None):
 def _load_matrix(path):
     with open(path, encoding="utf-8") as fh:
         return parse_matrix(fh.read())
+
+
+def _open_output(path):
+    """`path` opened for CSV writing, or a context holding None without a
+    path. Commands open it after their checks and before the first fold."""
+    if not path:
+        return contextlib.nullcontext()
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 def _operator_from_args(args):
@@ -272,9 +270,10 @@ def cmd_power(args):
 def cmd_converge(args):
     A = _load_matrix(args.input)
     op = _operator_from_args(args)
-    report = power_sequence(A, op, eps=args.eps, max_iter=args.max_iter)
-    if args.trace:
-        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
+    _check_sequence(A, args.eps, args.max_iter)
+    with _open_output(args.trace) as fh:
+        report = power_sequence(A, op, eps=args.eps, max_iter=args.max_iter)
+        if args.trace:
             writer = csv.writer(fh)
             writer.writerow(["m", "delta", "bound"])
             for i, (d, b) in enumerate(zip(report.deltas, report.bound_trace)):
@@ -322,29 +321,25 @@ def cmd_sweep(args):
         ops = [ConvexCombo(lam) for lam in lambdas]
     if not ops:
         raise ParseError("parameter grids must be non-empty")
-    rows = []
-    for op in ops:
-        report = power_sequence(A, op, eps=args.eps, max_iter=args.max_iter)
-        mu_dist = float((1.0 - report.limit.mu).max())
-        rows.append([
-            op.lam,
-            getattr(op, "p", ""),
-            report.converged,
-            report.iterations,
-            f"{report.deltas[-1]:.17g}",
-            f"{mu_dist:.17g}",
-            "no-guarantee" if op.lam == 1.0 else "",
-        ])
-    out = (open(args.output, "w", newline="", encoding="utf-8") if args.output
-           else sys.stdout)
-    try:
-        writer = csv.writer(out)
+    _check_sequence(A, args.eps, args.max_iter)
+    with _open_output(args.output) as fh:
+        rows = []
+        for op in ops:
+            report = power_sequence(A, op, eps=args.eps, max_iter=args.max_iter)
+            mu_dist = float((1.0 - report.limit.mu).max())
+            rows.append([
+                op.lam,
+                getattr(op, "p", ""),
+                report.converged,
+                report.iterations,
+                f"{report.deltas[-1]:.17g}",
+                f"{mu_dist:.17g}",
+                "no-guarantee" if op.lam == 1.0 else "",
+            ])
+        writer = csv.writer(fh or sys.stdout)
         writer.writerow(["lambda", "p", "converged", "iterations",
                          "final_delta", "mu_distance_to_U", "note"])
         writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
     return EXIT_OK
 
 

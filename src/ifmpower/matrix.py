@@ -487,6 +487,18 @@ class ConvergenceReport:
     sum_violations: int = 0
 
 
+def _check_sequence(A, eps, max_iter):
+    """power_sequence's argument checks: A square, eps positive and
+    finite, max_iter at least 1. The CLI runs them before it opens an
+    output file, so bad arguments leave no file behind."""
+    if not A.is_square():
+        raise DimensionMismatchError("powers require a square matrix")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def power_sequence(A, op, eps=1e-12, max_iter=100000):
     """Iterate A^m until the step difference drops to eps or max_iter
     compositions have run.
@@ -501,12 +513,7 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
     {0, 1} has A^3 = A^2, so it stops at delta = 0 before any repeat
     could be seen, and is not hashed.
     """
-    if not A.is_square():
-        raise DimensionMismatchError("powers require a square matrix")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_sequence(A, eps, max_iter)
 
     detect_cycles = isinstance(op, ConvexCombo) and op.lam == 1.0
     seen = {hash(A): [1]} if detect_cycles else None

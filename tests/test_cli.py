@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifmpower import Ifm, Ifn, ParseError, ValidationError, cli, delta
+from ifmpower import Ifm, Ifn, ParseError, ValidationError, cli, delta, matrix
 from ifmpower.cli import build_parser, format_matrix, main, parse_grid, parse_matrix
 
 A_DOC = json.dumps({
@@ -176,6 +177,10 @@ MALFORMED = {
                 + "0" * 400 + ', "nu": 0}]]}',
     "bad-cell-before-ragged-row": _doc([[{"mu": 0, "nu": 0}, {"mu": 2, "nu": 0}],
                                         [{"mu": 0, "nu": 0}]]),
+    "bad-value-after-clean-row": _doc([[{"mu": 0, "nu": 0}] * 2,
+                                       [{"mu": 0, "nu": 0}, {"mu": 0.6, "nu": 0.5}]]),
+    "non-object-after-bad-value": _doc([[{"mu": 2, "nu": 0}, [0.1, 0.2]]]),
+    "bad-value-after-non-object": _doc([[[0.1, 0.2], {"mu": 2, "nu": 0}]]),
 }
 
 ODD_BUT_VALID = {
@@ -206,12 +211,64 @@ class TestParseMatrix:
     def test_clean_document_skips_per_entry_objects(self, monkeypatch):
         M = _edge_ifm(np.random.default_rng(7), 300, 300)
         text = format_matrix(M)
+        odd = {name: _per_entry_parse(doc) for name, doc in ODD_BUT_VALID.items()}
 
         def no_ifn(*args):
             raise AssertionError("per-entry path taken")
 
         monkeypatch.setattr(cli, "Ifn", no_ifn)
         assert _same_bits(parse_matrix(text), M)
+        for name, doc in ODD_BUT_VALID.items():
+            assert _same_bits(parse_matrix(doc), odd[name]), name
+
+    def test_fuzz_matches_per_entry_reader(self):
+        # Small documents, 70% of them with bad rows, cells or values.
+        values = [None, [0.5], {"x": 1}, "half", "0.5", " 0.25 ", "nan", "inf", True, False,
+                  0, 1, 2, -1, 10**400, float("nan"), float("inf"), -0.0, 1.5, -0.1,
+                  5e-324, 0.3 + 1e-13, 0.7]
+        rng = random.Random(16)
+
+        def cell(bad):
+            if bad and rng.random() < 0.05:
+                return rng.choice([[0.1, 0.2], "ab", 3, None, {"mu": 0.1}, {"nu": 0.1}])
+            mu, nu = (rng.choice(values) if bad and rng.random() < 0.3
+                      else rng.random() * 0.5 for _ in range(2))
+            return {"mu": mu, "nu": nu, **({"note": 1} if rng.random() < 0.05 else {})}
+
+        def row(cols, bad):
+            if bad and rng.random() < 0.03:
+                return rng.choice(["ab", None, {"mu": 0, "nu": 0}])
+            if bad and rng.random() < 0.05:
+                cols = rng.randint(0, cols + 1)
+            return [cell(bad) for _ in range(cols)]
+
+        outcomes = set()
+        for _ in range(3000):
+            rows, cols, bad = rng.randint(1, 4), rng.randint(1, 4), rng.random() < 0.7
+            text = json.dumps({"rows": rows, "cols": cols,
+                               "entries": [row(cols, bad) for _ in range(rows)]})
+            try:
+                want = _per_entry_parse(text)
+            except (ParseError, ValidationError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    parse_matrix(text)
+                assert str(got.value) == str(exc), text
+                outcomes.add(type(exc))
+            else:
+                assert _same_bits(parse_matrix(text), want), text
+                outcomes.add(Ifm)
+        assert outcomes == {Ifm, ParseError, ValidationError}
+
+    def test_huge_declared_width_allocates_nothing(self):
+        text = json.dumps({"rows": 1, "cols": 10**7, "entries": [[{"mu": 0.5, "nu": 0.25}]]})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="row 0 is ragged: expected 10000000 entries"):
+                parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_example_document(self):
         A = parse_matrix(A_DOC)
@@ -329,6 +386,40 @@ def test_non_square_input_exits_3(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and "square matrix" in captured.err
 
 
+OUTPUT_FLAGS = {
+    "converge-trace": ["converge", "--p", "1", "--trace"],
+    "sweep-output": ["sweep", "--lambda-grid", "0.1:0.9:0.1", "--p-grid", "0.5,1,2", "--output"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FLAGS.values(), ids=OUTPUT_FLAGS.keys())
+def test_unwritable_output_exits_before_any_fold(a_file, tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    compose = matrix.compose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(matrix, "compose", counted)
+    assert main([*argv, str(tmp_path / "no" / "out.csv"), "--input", a_file]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad, message", [("--eps=inf", "eps"), ("--max-iter=0", "max_iter")])
+@pytest.mark.parametrize("argv", OUTPUT_FLAGS.values(), ids=OUTPUT_FLAGS.keys())
+def test_bad_sequence_argument_leaves_no_file(a_file, tmp_path, capsys, argv, bad, message):
+    out = tmp_path / "out.csv"
+    assert main([*argv, str(out), "--input", a_file, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = re.findall(r"^ifmpower .*$", readme, flags=re.MULTILINE)
@@ -432,6 +523,19 @@ class TestPowerCommand:
         code = main(["power", "--input", str(f), "--op", "star",
                      "--lambda", "0.5", "--steps", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"rows": 1, "cols": 1000000000000, "entries": [[{"mu": 0.5, "nu": 0.25}]]}',
+        "[" * 200_000,
+        '{"rows": 1, "cols": 1, "entries": ' + "[" * 200_000,
+    ], ids=["cols-1e12", "nested", "nested-entries"])
+    def test_oversized_document_exits_2(self, tmp_path, capsys, text):
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        assert main(["power", "--input", str(f), "--p", "1", "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(("error: row 0 is ragged", "error: invalid JSON"))
 
     @pytest.mark.parametrize("name", ["entries-not-a-list", "huge-int"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, name):
