@@ -16,8 +16,18 @@ from typing import FrozenSet, Tuple
 import numpy as np
 
 from .errors import BadPathError, DimensionMismatchError
-from .ifn import ComponentPair, gen_mean_pair, star_scalar
+from .ifn import ComponentPair, gen_mean_fold, star_fold
 from .matrix import Ifm
+
+
+def _vertex(v):
+    """v as an int; BadPathError unless int(v) == v."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadPathError(f"vertex {v!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -27,7 +37,7 @@ class PathSpec:
     vertices: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(_vertex(v) for v in self.vertices))
         if len(self.vertices) < 2:
             raise BadPathError("a walk needs at least one edge (two vertices)")
 
@@ -50,21 +60,41 @@ class CriticalStructure:
 
 
 def _edge_values(A, path):
+    """The walk's edge components as two lists of floats, mu and nu."""
     if not A.is_square():
         raise DimensionMismatchError("walk weights are defined on square matrices")
     n = A.rows
     for v in path.vertices:
         if not 1 <= v <= n:
             raise BadPathError(f"vertex {v} outside [1, {n}]")
-    return [A.entry(i - 1, j - 1) for i, j in path.edges()]
+    v = np.array(path.vertices) - 1
+    return A.mu[v[:-1], v[1:]].tolist(), A.nu[v[:-1], v[1:]].tolist()
+
+
+def _left_fold(A, path, mus, nus, fold):
+    """A's entry for a one-edge walk, else the left fold of its edges."""
+    if len(mus) == 1:
+        return A.entry(path.vertices[0] - 1, path.vertices[1] - 1)
+    w = mus[0], nus[0]
+    for e in zip(mus[1:], nus[1:]):
+        w = fold(*w, *e)
+    return ComponentPair(*w)
 
 
 def _closed_form_component(values, coeffs, p):
-    if len(set(values)) == 1:
-        return values[0]
-    if p < 0 and any(a == 0.0 and c > 0.0 for a, c in zip(values, coeffs)):
+    """(sum of c * a^p) ^ (1/p) over the terms of nonzero weight c, with
+    gen_mean_scalar's conventions: equal values give that value, and for
+    p < 0 a zero value or an overflow gives 0."""
+    terms = [(a, c) for a, c in zip(values, coeffs) if c != 0.0]
+    if len({a for a, _ in terms}) == 1:
+        return terms[0][0]
+    if p < 0 and any(a == 0.0 for a, _ in terms):
         return 0.0
-    return sum(c * a**p for a, c in zip(values, coeffs)) ** (1.0 / p)
+    try:
+        # An overflowed sum is inf, and inf ** (1/p) is 0.0 for p < 0.
+        return sum(c * a**p for a, c in terms) ** (1.0 / p)
+    except OverflowError:  # a**p for subnormal a and p < 0
+        return 0.0
 
 
 def path_weight_gen(A, path, lam, p):
@@ -75,19 +105,17 @@ def path_weight_gen(A, path, lam, p):
     pairwise mean. The two are algebraically identical; they must agree
     to 1e-12 or the call fails.
     """
-    edges = _edge_values(A, path)
-    k = len(edges)
+    mus, nus = _edge_values(A, path)
+    k = len(mus)
     coeffs = [lam ** (k - 1)] + [
         lam ** (k - 1 - i) * (1.0 - lam) for i in range(1, k)
     ]
 
     closed = ComponentPair(
-        _closed_form_component([e.mu for e in edges], coeffs, p),
-        _closed_form_component([e.nu for e in edges], coeffs, p),
+        _closed_form_component(mus, coeffs, p),
+        _closed_form_component(nus, coeffs, p),
     )
-    folded = edges[0]
-    for e in edges[1:]:
-        folded = gen_mean_pair(folded, e, lam, p)
+    folded = _left_fold(A, path, mus, nus, gen_mean_fold(lam, p))
     if max(abs(closed.mu - folded.mu), abs(closed.nu - folded.nu)) > 1e-12:
         raise ArithmeticError(
             f"closed form {closed} and fold {folded} disagree on {path}"
@@ -98,11 +126,7 @@ def path_weight_gen(A, path, lam, p):
 def path_weight_star(A, path, lam):
     """Weight of a walk under the convex-combination operator
     (left-fold of the pairwise star)."""
-    edges = _edge_values(A, path)
-    folded = edges[0]
-    for e in edges[1:]:
-        folded = star_scalar(folded, e, lam)
-    return folded
+    return _left_fold(A, path, *_edge_values(A, path), star_fold(lam))
 
 
 def critical_structure(A):

@@ -87,30 +87,38 @@ def gen_mean_scalar(x, y, lam, p):
     return s ** (1.0 / p)
 
 
+def gen_mean_fold(lam, p):
+    """The GeneralizedMean(lam, p) fold on plain floats: (w_mu, w_nu,
+    e_mu, e_nu) to the folded (mu, nu), range-checked as a ComponentPair
+    is. A walk's weight is the left fold of its edges."""
+    def fold(wm, wn, em, en):
+        mu = gen_mean_scalar(wm, em, lam, p)
+        nu = gen_mean_scalar(wn, en, lam, p)
+        check_components(mu, nu)
+        return mu, nu
+    return fold
+
+
+def star_fold(lam):
+    """The ConvexCombo(lam) fold, as gen_mean_fold: min (mu) or max (nu)
+    blended with the arithmetic mean by weight lam."""
+    def fold(wm, wn, em, en):
+        mu = lam * min(wm, em) + (1.0 - lam) * (wm + em) / 2.0
+        nu = lam * max(wn, en) + (1.0 - lam) * (wn + en) / 2.0
+        check_components(mu, nu)
+        return mu, nu
+    return fold
+
+
 def gen_mean_pair(a, b, lam, p):
     """Componentwise weighted power mean of two pairs."""
-    return ComponentPair(
-        gen_mean_scalar(a.mu, b.mu, lam, p),
-        gen_mean_scalar(a.nu, b.nu, lam, p),
-    )
-
-
-def star_component(x, y, lam, extreme):
-    """lam * extreme(x, y) + (1 - lam) * (x + y) / 2 on floats, where
-    extreme is min (mu side) or max (nu side)."""
-    return lam * extreme(x, y) + (1.0 - lam) * (x + y) / 2.0
+    return ComponentPair(*gen_mean_fold(lam, p)(a.mu, a.nu, b.mu, b.nu))
 
 
 def star_scalar(a, b, lam):
-    """Convex combination of max-min and arithmetic mean, per component.
-
-    mu side uses min, nu side uses max, each blended with the arithmetic
-    mean by weight lam.
-    """
-    return ComponentPair(
-        star_component(a.mu, b.mu, lam, min),
-        star_component(a.nu, b.nu, lam, max),
-    )
+    """Convex combination of max-min and arithmetic mean, per component
+    (star_fold on two pairs)."""
+    return ComponentPair(*star_fold(lam)(a.mu, a.nu, b.mu, b.nu))
 
 
 def scalar_mult(lam, a):

@@ -139,6 +139,8 @@ class Ifm:
         """Build from a nested sequence of (mu, nu) pairs, validating
         each entry as an IFN."""
         rows = [[Ifn(m, v) for m, v in row] for row in grid]
+        if not rows:
+            raise DimensionMismatchError("matrix must be non-empty")
         if len({len(r) for r in rows}) != 1:
             raise DimensionMismatchError("ragged rows")
         return cls(

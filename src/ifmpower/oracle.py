@@ -2,13 +2,14 @@
 
 Enumerates every walk between each vertex pair and takes the max of the
 membership weights and the min of the non-membership weights. Walk
-weights are left-folds of the pairwise scalar operators, so the oracle
-shares no code with the matrix engine's composition loop or with the
-closed-form weight formula. The enumeration runs depth first over walk
-prefixes, so a prefix shared by many walks is folded once; each walk
-still gets exactly the scalar folds, in the same order, that folding it
-on its own would give. Weights are carried as plain floats, and every
-fold result gets the same [0, 1] check as a ComponentPair.
+weights are left folds of the operator's float fold from ifmpower.ifn
+(gen_mean_fold or star_fold, which graph's path weights fold too), so
+the oracle shares no code with the matrix engine's composition loop or
+with the closed-form weight formula. The enumeration runs depth first
+over walk prefixes, so a prefix shared by many walks is folded once;
+each walk still gets exactly the folds, in the same order, that folding
+it on its own would give. Weights are carried as plain floats, and the
+fold range-checks every result as a ComponentPair is checked.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import List
 import numpy as np
 
 from .errors import BudgetExceededError, MismatchFoundError
-from .ifn import check_components, gen_mean_scalar, star_component
+from .ifn import gen_mean_fold, star_fold
 from .matrix import ConvexCombo, GeneralizedMean, Ifm, power
 
 ENUMERATION_CAP = 10**7
@@ -36,28 +37,6 @@ P_CHOICES = (-1.0, 0.5, 1.0, 2.0)
 class OracleBudget:
     max_n: int = 4
     max_m: int = 5
-
-
-def _fold_for(op):
-    """The scalar fold of op on plain floats: (w_mu, w_nu, e_mu, e_nu)
-    to the folded (mu, nu), range-checked as a ComponentPair is."""
-    lam = op.lam
-    if isinstance(op, GeneralizedMean):
-        p = op.p
-
-        def fold(wm, wn, em, en):
-            mu = gen_mean_scalar(wm, em, lam, p)
-            nu = gen_mean_scalar(wn, en, lam, p)
-            check_components(mu, nu)
-            return mu, nu
-    else:
-
-        def fold(wm, wn, em, en):
-            mu = star_component(wm, em, lam, min)
-            nu = star_component(wn, en, lam, max)
-            check_components(mu, nu)
-            return mu, nu
-    return fold
 
 
 def _check_budget(n, m, budget):
@@ -93,7 +72,8 @@ def brute_force_power(A, m, op, budget=OracleBudget()):
     _check_budget(n, m, budget)
     entries = [list(zip(row_mu, row_nu))
                for row_mu, row_nu in zip(A.mu.tolist(), A.nu.tolist())]
-    fold = _fold_for(op)
+    fold = (gen_mean_fold(op.lam, op.p) if isinstance(op, GeneralizedMean)
+            else star_fold(op.lam))
 
     def extend(wm, wn, v, d):
         # <wm, wn> is the left fold of a d-edge walk from the current

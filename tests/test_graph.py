@@ -5,9 +5,11 @@ import pytest
 
 from ifmpower import (
     BadPathError,
+    ComponentPair,
     CriticalStructure,
     GeneralizedMean,
     Ifm,
+    Ifn,
     PathSpec,
     critical_structure,
     export_dot,
@@ -44,6 +46,53 @@ def test_pathspec_vertex_range_checked():
         path_weight_gen(A3, PathSpec((1, 4)), 0.5, 1)
 
 
+@pytest.mark.parametrize("v", [1.7, "3", float("nan"), float("inf"), None])
+def test_pathspec_rejects_non_integer_vertex(v):
+    with pytest.raises(BadPathError, match="is not an integer"):
+        PathSpec((v, 2))
+
+
+def test_pathspec_accepts_integral_vertices():
+    path = PathSpec((np.int64(2), 2.0, 1))
+    assert path.vertices == (2, 2, 1)
+    assert all(type(v) is int for v in path.vertices)
+
+
+def test_one_edge_walk_is_the_entry():
+    # <0.7, 0.6> breaks the sum constraint, so A.entry gives a
+    # ComponentPair there and an Ifn elsewhere; longer walks are folds.
+    M = Ifm([[0.7, 0.5], [0.2, 1.0]], [[0.6, 0.25], [0.5, 0.0]])
+    for i in (1, 2):
+        for j in (1, 2):
+            path = PathSpec((i, j))
+            want = M.entry(i - 1, j - 1)
+            for w in (path_weight_gen(M, path, 0.5, -1.0), path_weight_star(M, path, 0.5)):
+                assert type(w) is type(want) and w == want
+    assert type(M.entry(0, 0)) is ComponentPair and type(M.entry(0, 1)) is Ifn
+    assert type(path_weight_gen(M, PathSpec((1, 2, 2)), 0.5, 1.0)) is ComponentPair
+    assert type(path_weight_star(M, PathSpec((1, 2, 2)), 0.5)) is ComponentPair
+
+
+def _planted_ifm(rng, n):
+    """random_ifm with exact <1, 0> entries, zeros and subnormals planted."""
+    A = random_ifm(rng, n)
+    mu, nu = A.mu.copy(), A.nu.copy()
+    for _ in range(rng.randint(1, n * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        k = rng.random()
+        if k < 0.3:
+            mu[i, j], nu[i, j] = 1.0, 0.0
+        elif k < 0.5:
+            mu[i, j] = 0.0
+        elif k < 0.7:
+            nu[i, j] = 0.0
+        elif k < 0.85:
+            mu[i, j] = rng.choice([5e-324, 1e-310, 2.2e-308])
+        else:
+            nu[i, j] = rng.choice([5e-324, 1e-310, 2.2e-308])
+    return Ifm(mu, nu)
+
+
 class TestPathWeightGen:
     def test_all_critical_edges_exact(self):
         U = Ifm.universal(3)
@@ -66,20 +115,35 @@ class TestPathWeightGen:
         assert w.nu == pytest.approx(0.24, abs=1e-12)
 
     def test_fold_agrees_with_closed_form_on_random_walks(self):
+        # The planted walks hold closed-form terms of weight 0 on zero
+        # entries (lambda in {0, 1}) and subnormals at p < 0.
         rng = random.Random(5)
-        for _ in range(300):
-            n = rng.randint(2, 5)
-            A = random_ifm(rng, n)
-            k = rng.randint(1, 6)
-            verts = [rng.randint(1, n) for _ in range(k + 1)]
-            lam = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
-            p = rng.choice([-1.0, 0.5, 1.0, 2.0])
-            path = PathSpec(tuple(verts))
-            w = path_weight_gen(A, path, lam, p)  # raises if they disagree
-            folded = A.entry(verts[0] - 1, verts[1] - 1)
-            for a, b in zip(verts[1:-1], verts[2:]):
-                folded = gen_mean_pair(folded, A.entry(a - 1, b - 1), lam, p)
-            assert (w.mu, w.nu) == (folded.mu, folded.nu)
+        for make, ps, walks in (
+            (random_ifm, [-1.0, 0.5, 1.0, 2.0], 300),
+            (_planted_ifm, [16.0, -16.0, -1.0, 0.5, 1.0, 2.0], 1000),
+        ):
+            for _ in range(walks):
+                n = rng.randint(2, 5)
+                A = make(rng, n)
+                k = rng.randint(1, 6)
+                verts = [rng.randint(1, n) for _ in range(k + 1)]
+                lam = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+                p = rng.choice(ps)
+                path = PathSpec(tuple(verts))
+                w = path_weight_gen(A, path, lam, p)  # raises if they disagree
+                folded = A.entry(verts[0] - 1, verts[1] - 1)
+                for a, b in zip(verts[1:-1], verts[2:]):
+                    folded = gen_mean_pair(folded, A.entry(a - 1, b - 1), lam, p)
+                assert (w.mu, w.nu) == (folded.mu, folded.nu)
+
+    def test_closed_form_follows_gen_mean_conventions(self):
+        # lambda = 1 keeps only the first edge and lambda = 0 only the
+        # last, so the <0, 1> entry's 0 ** -1 weighs nothing.
+        assert path_weight_gen(A3, PathSpec((1, 2, 1, 3)), 1.0, -1.0) == ComponentPair(0.5, 0.4)
+        assert path_weight_gen(A3, PathSpec((2, 1, 1, 3)), 0.0, -1.0) == ComponentPair(0.0, 1.0)
+        # A subnormal's power overflows at p = -1, and the mean is 0.
+        M = Ifm([[5e-324, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
+        assert path_weight_gen(M, PathSpec((1, 1, 2)), 0.5, -1.0) == ComponentPair(0.0, 0.5)
 
     def test_coefficients_sum_to_one(self):
         import math

@@ -111,6 +111,11 @@ def test_from_pairs_ragged():
         Ifm.from_pairs([[(1, 0), (0, 1)], [(1, 0)]])
 
 
+def test_from_pairs_empty():
+    with pytest.raises(DimensionMismatchError, match="matrix must be non-empty"):
+        Ifm.from_pairs([])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, np.nextafter(1, 2)])
 def test_non_finite_components_rejected(bad):
     with pytest.raises(ValueError):
