@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadPathError, DimensionMismatchError
 from .ifn import ComponentPair, gen_mean_fold, star_fold
-from .matrix import Ifm
+from .matrix import ConvexCombo, GeneralizedMean, Ifm
 
 
 def _vertex(v):
@@ -103,8 +103,10 @@ def path_weight_gen(A, path, lam, p):
     Computed two ways: the closed form with geometric coefficients
     lam^(k-1), lam^(k-2)(1-lam), ..., (1-lam), and the left-fold of the
     pairwise mean. The two are algebraically identical; they must agree
-    to 1e-12 or the call fails.
+    to 1e-12 or the call fails. (lam, p) is checked as for
+    GeneralizedMean before any fold.
     """
+    GeneralizedMean(lam, p)
     mus, nus = _edge_values(A, path)
     k = len(mus)
     coeffs = [lam ** (k - 1)] + [
@@ -125,7 +127,9 @@ def path_weight_gen(A, path, lam, p):
 
 def path_weight_star(A, path, lam):
     """Weight of a walk under the convex-combination operator
-    (left-fold of the pairwise star)."""
+    (left-fold of the pairwise star); lam is checked as for
+    ConvexCombo."""
+    ConvexCombo(lam)
     return _left_fold(A, path, *_edge_values(A, path), star_fold(lam))
 
 

@@ -28,13 +28,10 @@ SUM_VIOLATION_TOL = 1e-9
 CHUNK_BYTES = 512 * 2**10
 
 # Pruned reductions in compose (see _reduce_rows): candidate t per row
-# of the left factor and per column of the right one; the shortest
-# reduction that is pruned; and the share of a row group's entries
-# needing a full reduce above which that group and every later row are
-# reduced in full.
+# of the left factor and per column of the right one, and the shortest
+# reduction that is pruned.
 PRUNE_K = 8
 PRUNE_MIN_T = 8 * PRUNE_K
-PRUNE_MAX_MISS = 0.05
 
 
 @dataclass(frozen=True)
@@ -277,10 +274,11 @@ def _reduce_rows(combine, x, right):
     cannot prove are reduced over every t again, one by one.
 
     Rows are taken in groups whose (rows, PRUNE_K, c) candidate grids
-    fit CHUNK_BYTES, the budget of _reduce_full's chunks. The first
-    group in which more than PRUNE_MAX_MISS of the entries need the full
-    reduce (as on a first step A o A, where it is the first group) ends
-    pruning: it and every later row are reduced in full.
+    fit CHUNK_BYTES, the budget of _reduce_full's chunks. A group's
+    one-by-one re-reduce takes a (misses, t) grid; the first group whose
+    grid would exceed CHUNK_BYTES (as on a first step A o A, where it is
+    the first group) ends pruning: it and every later row are reduced
+    in full.
     """
     r, c = len(x), right.y.shape[1]
     out = np.empty((r, c))
@@ -297,10 +295,11 @@ def _reduce_rows(combine, x, right):
                    out=cand)
         # Not cand < bound: a NaN fails greater_equal and is recomputed.
         need = ~np.greater_equal(cand, combine(x_next[:, None], y_next))
-        if np.count_nonzero(need) > PRUNE_MAX_MISS * need.size:
+        misses = np.count_nonzero(need)
+        if 8 * misses * len(y) > CHUNK_BYTES:
             _reduce_full(combine, x[i:], right, out[i:])
             break
-        if need.any():
+        if misses:
             mi, mj = np.nonzero(need)
             cand[mi, mj] = combine(xb[mi], y[:, mj].T).max(axis=1)
     return out
@@ -325,18 +324,23 @@ def _star(lam):
     return combine
 
 
+def _s_exponent(op):
+    """The p of GeneralizedMean's s domain. With lam in {0, 1} the mean
+    keeps one argument for every p, and p = 1 computes it exactly:
+    1 * x + 0 * y is x, x ** 1.0 is x, and no weight of 0 meets the inf
+    that a zero gives for p < 0 (0 * inf is NaN)."""
+    return op.p if 0.0 < op.lam < 1.0 else 1.0
+
+
 def _prepare(B, op, r):
     """B's side of X o B under op for X with r rows: a _Right per
-    component, or None where GeneralizedMean with lam in {0, 1}
-    collapses to one argument. A component reducing by min (see
-    compose) is negated."""
+    component. A component reducing by min (see compose) is negated."""
     if isinstance(op, ConvexCombo):
         return _Right(B.mu, r), _Right(-B.nu, r)
-    if op.lam in (0.0, 1.0):
-        return None
-    w = math.copysign(1.0 - op.lam, op.p)
+    p = _s_exponent(op)
+    w = math.copysign(1.0 - op.lam, p)
     with np.errstate(divide="ignore", over="ignore"):
-        return _Right(w * B.mu ** op.p, r), _Right(-w * B.nu ** op.p, r)
+        return _Right(w * B.mu ** p, r), _Right(-w * B.nu ** p, r)
 
 
 def compose(A, B, op, *, _right=None):
@@ -347,7 +351,9 @@ def compose(A, B, op, *, _right=None):
     max-plus product for mu and min-plus for nu. s -> s^(1/p) is
     increasing for p > 0 and decreasing for p < 0 (zeros map to +inf
     and come back as 0), so reducing s first picks the same element as
-    reducing the means, and the final power gives the same bits.
+    reducing the means, and the final power gives the same bits. With
+    lam in {0, 1} the mean keeps one argument, and the s domain is taken
+    at p = 1 (see _s_exponent).
 
     The kernel reduces by max only: the component that reduces by min
     (nu, or mu for GeneralizedMean with p < 0) runs on negated terms on
@@ -376,25 +382,14 @@ def compose(A, B, op, *, _right=None):
         )
     right = _prepare(B, op, A.rows) if _right is None else _right
     if isinstance(op, GeneralizedMean):
-        lam, p = op.lam, op.p
-        # lam in {0, 1} stays out of the s domain, where 0 * inf would
-        # give NaN for p < 0.
-        if lam == 1.0:
-            # The mean collapses to the left argument; the right matrix
-            # only contributes its column count.
-            mu = np.repeat(A.mu.max(axis=1)[:, None], B.cols, axis=1)
-            nu = np.repeat(A.nu.min(axis=1)[:, None], B.cols, axis=1)
-        elif lam == 0.0:
-            mu = np.repeat(B.mu.max(axis=0)[None, :], A.rows, axis=0)
-            nu = np.repeat(B.nu.min(axis=0)[None, :], A.rows, axis=0)
-        else:
-            w = math.copysign(lam, p)
-            with np.errstate(divide="ignore", over="ignore"):
-                mu = _reduce_rows(np.add, w * A.mu ** p, right[0])
-                nu = _reduce_rows(np.add, -w * A.nu ** p, right[1])
-            mu, nu = (mu, -nu) if p > 0 else (-mu, nu)
-            mu **= 1.0 / p
-            nu **= 1.0 / p
+        p = _s_exponent(op)
+        w = math.copysign(op.lam, p)
+        with np.errstate(divide="ignore", over="ignore"):
+            mu = _reduce_rows(np.add, w * A.mu ** p, right[0])
+            nu = _reduce_rows(np.add, -w * A.nu ** p, right[1])
+        mu, nu = (mu, -nu) if p > 0 else (-mu, nu)
+        mu **= 1.0 / p
+        nu **= 1.0 / p
     else:
         combine = _star(op.lam)
         mu = _reduce_rows(combine, A.mu, right[0])

@@ -13,7 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifmpower import Ifm, Ifn, ParseError, ValidationError, cli, delta, matrix
+from ifmpower import (
+    GeneralizedMean,
+    Ifm,
+    Ifn,
+    MismatchFoundError,
+    ParseError,
+    ValidationError,
+    cli,
+    delta,
+    matrix,
+    oracle,
+)
 from ifmpower.cli import build_parser, format_matrix, main, parse_grid, parse_matrix
 
 A_DOC = json.dumps({
@@ -154,6 +165,10 @@ class TestFormatMatrix:
 
 
 MALFORMED = {
+    "missing-keys": '{"rows": 1, "cols": 1}',
+    "not-an-object": "[1, 1]",
+    "wrong-row-count": json.dumps({"rows": 3, "cols": 2,
+                                   "entries": [[{"mu": 0, "nu": 0}] * 2] * 2}),
     "entries-not-a-list": '{"rows": 1, "cols": 1, "entries": 5}',
     "ragged-row": _doc([[{"mu": 0, "nu": 0}] * 2, [{"mu": 0, "nu": 0}]]),
     "short-rows": json.dumps({"rows": 2, "cols": 3,
@@ -808,3 +823,26 @@ class TestOracleCheckCommand:
     def test_zero_cases_exits_2(self, capsys):
         assert main(["oracle-check", "--cases", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: trials must be >= 1")
+
+    @pytest.mark.parametrize("with_matrix", [True, False], ids=["matrix", "no-matrix"])
+    def test_mismatch_exits_5(self, monkeypatch, capsys, with_matrix):
+        M = _edge_ifm(np.random.default_rng(5), 3, 3)
+        op = GeneralizedMean(0.25, -1.0)
+        message = f"trial 7: engine and oracle disagree by 0.5 (n=3, m=4, op={op})"
+
+        def mismatch(*args, **kwargs):
+            raise MismatchFoundError(message, matrix=M if with_matrix else None,
+                                     operator=op, exponent=4)
+
+        monkeypatch.setattr(oracle, "differential_check", mismatch)
+        assert main(["oracle-check", "--cases", "3"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0] == f"mismatch: {message}"
+        if not with_matrix:
+            assert len(lines) == 1
+            return
+        assert lines[1] == "counterexample matrix:"
+        assert lines[-1] == f"operator: {op}, m: 4"
+        assert _same_bits(parse_matrix("\n".join(lines[2:-1])), M)

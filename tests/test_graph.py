@@ -7,10 +7,12 @@ from ifmpower import (
     BadPathError,
     ComponentPair,
     CriticalStructure,
+    DimensionMismatchError,
     GeneralizedMean,
     Ifm,
     Ifn,
     PathSpec,
+    ZeroPError,
     critical_structure,
     export_dot,
     gen_mean_pair,
@@ -20,6 +22,7 @@ from ifmpower import (
     power_sequence,
     predict_column_limits,
     predict_universal,
+    row_uniformity,
 )
 from ifmpower.oracle import random_ifm
 
@@ -71,6 +74,35 @@ def test_one_edge_walk_is_the_entry():
     assert type(M.entry(0, 0)) is ComponentPair and type(M.entry(0, 1)) is Ifn
     assert type(path_weight_gen(M, PathSpec((1, 2, 2)), 0.5, 1.0)) is ComponentPair
     assert type(path_weight_star(M, PathSpec((1, 2, 2)), 0.5)) is ComponentPair
+
+
+@pytest.mark.parametrize("verts", [(1, 2), (1, 2, 3), (2, 3, 2)], ids=str)
+def test_path_weight_gen_rejects_p_zero(verts):
+    # The walks used to fail three ways: a one-edge walk returned its
+    # entry, distinct edge values divided by p and equal ones folded.
+    with pytest.raises(ZeroPError):
+        path_weight_gen(A3, PathSpec(verts), 0.5, 0.0)
+
+
+@pytest.mark.parametrize("weight", [
+    lambda path: path_weight_gen(A3, path, 1.5, 1.0),
+    lambda path: path_weight_star(A3, path, 1.5),
+], ids=["gen", "star"])
+def test_path_weights_reject_lambda_out_of_range(weight):
+    for verts in ((1, 2), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\], got 1.5"):
+            weight(PathSpec(verts))
+
+
+@pytest.mark.parametrize("fn", [
+    row_uniformity,
+    predict_universal,
+    export_dot,
+    lambda A: path_weight_gen(A, PathSpec((1, 2)), 0.5, 1.0),
+], ids=["row_uniformity", "predict_universal", "export_dot", "path_weight_gen"])
+def test_non_square_rejected(fn):
+    with pytest.raises(DimensionMismatchError, match="square"):
+        fn(Ifm([[0.5, 0.2, 0.1]] * 2, [[0.1, 0.2, 0.3]] * 2))
 
 
 def _planted_ifm(rng, n):

@@ -24,7 +24,7 @@ from ifmpower import (
 )
 from ifmpower import matrix
 from ifmpower.matrix import CHUNK_BYTES, PRUNE_K, PRUNE_MIN_T
-from ifmpower.oracle import brute_force_power
+from ifmpower.oracle import OracleBudget, brute_force_power
 
 # 3x3 instance whose powers converge to the universal matrix at
 # lambda=0.6, p=1; every column holds an exact <1,0>.
@@ -62,6 +62,8 @@ def test_operator_validation():
     with pytest.raises(ValueError) as raised:
         ConvexCombo(1.5)
     assert not isinstance(raised.value, DomainError)
+    with pytest.raises(ValueError, match="root-power preset needs p > 0, got 0"):
+        root_power(0)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
@@ -114,6 +116,16 @@ def test_from_pairs_ragged():
 def test_from_pairs_empty():
     with pytest.raises(DimensionMismatchError, match="matrix must be non-empty"):
         Ifm.from_pairs([])
+
+
+@pytest.mark.parametrize("mu, nu, message", [
+    ([0.5, 0.2], [0.1, 0.2], "share a 2-D shape"),
+    ([[0.5, 0.2]], [[0.1], [0.2]], "share a 2-D shape"),
+    (np.empty((0, 2)), np.empty((0, 2)), "non-empty"),
+], ids=["1-D", "mismatched", "empty"])
+def test_ifm_rejects_bad_grids(mu, nu, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        Ifm(mu, nu)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, np.nextafter(1, 2)])
@@ -261,6 +273,11 @@ class TestPower:
         right = compose(B3, compose(B3, B3, op), op)
         assert left != right
 
+    @pytest.mark.parametrize("fn", [power, brute_force_power])
+    def test_exponent_below_one_rejected(self, fn):
+        with pytest.raises(ValueError, match="power exponent must be >= 1, got 0"):
+            fn(A3, 0, GM)
+
 
 class TestDelta:
     def test_self(self):
@@ -272,6 +289,10 @@ class TestDelta:
 
     def test_first_step_below_trivial_bound(self):
         assert delta(power(A3, 2, GM), A3) <= step_bound(GM, 2)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape mismatch: \(3, 3\) vs \(2, 2\)"):
+            delta(A3, Ifm.universal(2))
 
 
 class TestRowUniformity:
@@ -998,3 +1019,43 @@ def test_collapsed_gen_mean_stops_at_delta_zero_unhashed(monkeypatch, lam, p):
         assert rep.iterations == (1 if A2 == A else 2)
         assert rep.deltas == [delta(A2, A), 0.0][:rep.iterations]
         assert rep.limit == A2
+
+
+def _one_argument_mean(A, B, op):
+    """compose's own branch for GeneralizedMean with lam in {0, 1}
+    before the s-domain kernel took it over: the mean keeps the left
+    argument (lam = 1) or the right one (lam = 0) for every p."""
+    if op.lam == 1.0:
+        mu = np.repeat(A.mu.max(axis=1)[:, None], B.cols, axis=1)
+        nu = np.repeat(A.nu.min(axis=1)[:, None], B.cols, axis=1)
+    else:
+        mu = np.repeat(B.mu.max(axis=0)[None, :], A.rows, axis=0)
+        nu = np.repeat(B.nu.min(axis=0)[None, :], A.rows, axis=0)
+    return Ifm(mu, nu)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("p", [-16.0, -1.0, -5e-300, 0.5, 2.0, 16.0])
+def test_one_argument_mean_is_exact(lam, p):
+    # The kernel computes lam in {0, 1} at p = 1 whatever op.p is. At
+    # op.p, a subnormal's power underflows or overflows, a zero meets a
+    # weight of 0 as 0 * inf, and x^p^(1/p) need not give x back. n = 70
+    # and 100 run the pruned kernel, as do the rectangular products
+    # (7 x n) o (n x 3) there.
+    op = GeneralizedMean(lam, p)
+    for n in (5, 25, 70, 100):
+        A, B = _subnormal_ifm(n, n), _late_input(n, "coarse-grid", n + 1)
+        rect = Ifm(A.mu[:7], A.nu[:7]), Ifm(B.mu[:, :3], B.nu[:, :3])
+        for X, Y in ((A, B), (B, A), (A, A), rect):
+            got, want = compose(X, Y, op), _one_argument_mean(X, Y, op)
+            assert got.mu.tobytes() == want.mu.tobytes(), (n, op)
+            assert got.nu.tobytes() == want.nu.tobytes(), (n, op)
+        # A^3 = A^2: the fold step reads A's prepared side.
+        cube, square = power(A, 3, op), _one_argument_mean(A, A, op)
+        assert cube.mu.tobytes() == square.mu.tobytes(), (n, op)
+        assert cube.nu.tobytes() == square.nu.tobytes(), (n, op)
+        if n <= 5:
+            for m in (2, 3, 4):
+                got, oracle = power(A, m, op), brute_force_power(A, m, op, OracleBudget(max_n=5))
+                assert got.mu.tobytes() == oracle.mu.tobytes(), (m, op)
+                assert got.nu.tobytes() == oracle.nu.tobytes(), (m, op)

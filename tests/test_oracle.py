@@ -264,23 +264,31 @@ def test_one_row_chunks_match_oracle_on_edge_inputs(monkeypatch):
         assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
 
 
-@pytest.mark.parametrize("max_miss", [0.05, 1.0])
-def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, max_miss):
+@pytest.mark.parametrize("chunk_bytes", [1, matrix.CHUNK_BYTES], ids=["one-byte", "default"])
+def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, chunk_bytes):
     # The oracle reaches n <= 5 only, far below PRUNE_MIN_T. With the
-    # activation constants lowered, compose prunes at these sizes too;
-    # at max_miss = 1.0 no row group declines, so every entry
-    # the bound cannot prove is recomputed one by one.
+    # activation constants lowered, compose prunes at these sizes too.
+    # A one-byte budget holds no one-by-one re-reduce grid, so a row
+    # group with any miss declines to the full reduce; the default
+    # budget holds every grid at n <= 5, so no group declines, and every
+    # entry the bound cannot prove is recomputed one by one.
     monkeypatch.setattr(matrix, "PRUNE_K", 1)
     monkeypatch.setattr(matrix, "PRUNE_MIN_T", 2)
-    monkeypatch.setattr(matrix, "PRUNE_MAX_MISS", max_miss)
-    pruned = []
-    top = matrix._top
+    monkeypatch.setattr(matrix, "CHUNK_BYTES", chunk_bytes)
+    pruned, declined = [], []
+    top, full = matrix._top, matrix._reduce_full
 
     def spy(v):
         pruned.append(v.shape)
         return top(v)
 
+    # At t >= PRUNE_MIN_T every full reduce is a declined group.
+    def full_spy(combine, x, right, out):
+        declined.append(len(x))
+        return full(combine, x, right, out)
+
     monkeypatch.setattr(matrix, "_top", spy)
+    monkeypatch.setattr(matrix, "_reduce_full", full_spy)
     rng = random.Random(56)
     budget = OracleBudget(max_n=5, max_m=5)
     for _ in range(300):
@@ -289,3 +297,4 @@ def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, max_miss):
         A, op = _edge_case(rng, n)
         assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
     assert len(pruned) > 300
+    assert declined if chunk_bytes == 1 else not declined
