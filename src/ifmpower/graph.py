@@ -41,10 +41,6 @@ class PathSpec:
         if len(self.vertices) < 2:
             raise BadPathError("a walk needs at least one edge (two vertices)")
 
-    @property
-    def length(self):
-        return len(self.vertices) - 1
-
     def edges(self):
         v = self.vertices
         return list(zip(v[:-1], v[1:]))

@@ -261,24 +261,36 @@ def _reduce_rows(combine, x, right):
 
     Where right carries a partition (reductions of PRUNE_MIN_T or more
     terms), entries are proven by a certificate (the threshold rule of
-    top-k aggregation). Let S_i hold the PRUNE_K t with the largest
-    x[i, t] and T_j those with the largest y[t, j], ties at the
-    boundary taken in any order; every other t has x[i, t] <= x'_i and
-    y[t, j] <= y'_j, the (PRUNE_K + 1)-th largest values.
+    top-k aggregation), in two stages. Let T_j hold the PRUNE_K t with
+    the largest y[t, j] and S_i those with the largest x[i, t], ties at
+    the boundary taken in any order; every other t has y[t, j] <= y'_j
+    and x[i, t] <= x'_i, the (PRUNE_K + 1)-th largest values.
     Floating-point +, min and scaling by a non-negative constant are
-    monotone, so combine(x'_i, y'_j) bounds every term outside
-    S_i | T_j, and an entry whose max over those 2 * PRUNE_K candidates
-    reaches the bound is the full max, bit for bit: with no NaN and
-    zeros of one sign only among the terms (see compose), a max is the
-    same float whichever equal term it keeps. Entries the bound
-    cannot prove are reduced over every t again, one by one.
+    monotone, so combine of two such upper bounds bounds every term
+    whose arguments they bound:
+
+    1. The right factor's candidates, prepared once per fold. Every t
+       outside T_j has a term at most combine(max_t x[i, t], y'_j),
+       so an entry whose max over T_j reaches that bound is proven.
+       In a late step of a fold the left factor has contracted and
+       the right factor's largest terms decide nearly every entry.
+    2. The row's own candidates, only where the first stage leaves too
+       many entries for the re-reduce below. The max now runs over
+       S_i | T_j, and every other t has a term at most
+       combine(x'_i, y'_j).
+
+    A proven entry is the full max, bit for bit: with no NaN and zeros
+    of one sign only among the terms (see compose), a max is the same
+    float whichever equal term it keeps. Entries neither bound proves
+    are reduced over every t again, one by one.
 
     Rows are taken in groups whose (rows, PRUNE_K, c) candidate grids
     fit CHUNK_BYTES, the budget of _reduce_full's chunks. A group's
-    one-by-one re-reduce takes a (misses, t) grid; the first group whose
-    grid would exceed CHUNK_BYTES (as on a first step A o A, where it is
-    the first group) ends pruning: it and every later row are reduced
-    in full.
+    one-by-one re-reduce takes a (misses, t) grid; a group whose misses
+    after the first stage would pass CHUNK_BYTES takes the second stage,
+    and the first group whose misses after both would pass it (as on a
+    first step A o A, where it is the first group) ends pruning: it and
+    every later row are reduced in full.
     """
     r, c = len(x), right.y.shape[1]
     out = np.empty((r, c))
@@ -289,13 +301,22 @@ def _reduce_rows(combine, x, right):
     step = max(1, CHUNK_BYTES // (8 * PRUNE_K * c))
     for i in range(0, r, step):
         xb, cand = x[i:i + step], out[i:i + step]
-        x_top, x_top_val, x_next = _top(xb)
-        np.maximum.reduce(combine(x_top_val[:, :, None], y[x_top]), axis=1, out=cand)
-        np.maximum(cand, combine(np.take(xb, y_top, axis=1), y_top_val).max(axis=1),
-                   out=cand)
+        terms = np.take(xb, y_top, axis=1)
+        np.maximum.reduce(combine(terms, y_top_val, out=terms), axis=1, out=cand)
         # Not cand < bound: a NaN fails greater_equal and is recomputed.
-        need = ~np.greater_equal(cand, combine(x_next[:, None], y_next))
+        need = ~np.greater_equal(cand, combine(xb.max(axis=1)[:, None], y_next))
         misses = np.count_nonzero(need)
+        if 8 * misses * len(y) > CHUNK_BYTES:
+            x_top, x_top_val, x_next = _top(xb)
+            # The row candidates reuse the first stage's grid; _top's
+            # indices are in range, and mode="raise" would buffer out.
+            np.take(y, x_top, axis=0, out=terms, mode="clip")
+            np.maximum(cand, combine(x_top_val[:, :, None], terms, out=terms).max(axis=1),
+                       out=cand)
+            need &= ~np.greater_equal(cand, combine(x_next[:, None], y_next))
+            misses = np.count_nonzero(need)
+        # Freed, so that no re-reduce grid or full-reduce chunk meets it.
+        del terms
         if 8 * misses * len(y) > CHUNK_BYTES:
             _reduce_full(combine, x[i:], right, out[i:])
             break
@@ -307,7 +328,7 @@ def _reduce_rows(combine, x, right):
 
 def _star(lam):
     """ConvexCombo's combine, lam * min(x, y) + (1 - lam) * (x + y) / 2,
-    in place where out is given (x may be out). It keeps the operations
+    in place where out is given (x or y may be out). It keeps the operations
     of that expression (add, scale by 1 - lam, halve; min, scale by
     lam; add), so its bits hold on subnormal inputs too, where halving
     (1 - lam) first could round differently."""
@@ -371,8 +392,12 @@ def compose(A, B, op, *, _right=None):
     Both families reduce a combine that is monotone in each argument (+
     in the s domain; min, + and non-negative scaling for ConvexCombo),
     so _reduce_rows proves most entries of a reduction over PRUNE_MIN_T
-    or more terms from the PRUNE_K largest terms of their row and
-    column. Entries the bound cannot prove are reduced over every t in
+    or more terms from a few candidate terms: first from the PRUNE_K
+    largest terms of their column of B, prepared with B's side, and
+    only for a row group those leave with too many entries unproven,
+    from the PRUNE_K largest of their row of A as well. In a late fold
+    step A^(m-1) has contracted and B's candidates alone prove nearly
+    every entry. Entries no bound proves are reduced over every t in
     _reduce_full's contiguous chunks or one by one; the output is
     bit-identical either way.
     """

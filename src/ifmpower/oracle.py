@@ -46,10 +46,15 @@ def _check_budget(n, m, budget):
         raise BudgetExceededError(
             f"n={n}, m={m} exceeds budget (max_n={budget.max_n}, max_m={budget.max_m})"
         )
-    if n ** (m + 1) > ENUMERATION_CAP:
+    # n^(m+1) taken to at most ENUMERATION_CAP.bit_length() + 1 factors,
+    # past the cap for any n >= 2, so that a huge m builds no integer of
+    # millions of digits.
+    walks = n
+    for _ in range(min(m, ENUMERATION_CAP.bit_length())):
+        walks *= n
+    if walks > ENUMERATION_CAP:
         raise BudgetExceededError(
-            f"n={n}, m={m} exceeds ENUMERATION_CAP: n^(m+1) = {n ** (m + 1)} "
-            f"> {ENUMERATION_CAP}"
+            f"n={n}, m={m} exceeds ENUMERATION_CAP: n^(m+1) > {ENUMERATION_CAP}"
         )
 
 

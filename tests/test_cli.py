@@ -824,6 +824,15 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--cases", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: trials must be >= 1")
 
+    def test_huge_max_m_exits_2(self, capsys):
+        # The draw's n^(m+1) has tens of thousands of digits; it is
+        # compared with the cap without being built or printed.
+        assert main(["oracle-check", "--cases", "2", "--max-m", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: n=\d, m=\d+ exceeds ENUMERATION_CAP: "
+                            r"n\^\(m\+1\) > 10000000\n", captured.err)
+
     @pytest.mark.parametrize("with_matrix", [True, False], ids=["matrix", "no-matrix"])
     def test_mismatch_exits_5(self, monkeypatch, capsys, with_matrix):
         M = _edge_ifm(np.random.default_rng(5), 3, 3)

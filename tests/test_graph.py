@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ifmpower import (
     predict_universal,
     row_uniformity,
 )
+from ifmpower import graph
 from ifmpower.oracle import random_ifm
 
 A3 = Ifm.from_pairs([
@@ -176,6 +178,14 @@ class TestPathWeightGen:
         # A subnormal's power overflows at p = -1, and the mean is 0.
         M = Ifm([[5e-324, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
         assert path_weight_gen(M, PathSpec((1, 1, 2)), 0.5, -1.0) == ComponentPair(0.0, 0.5)
+
+    def test_closed_form_and_fold_disagreement_raises(self, monkeypatch):
+        closed_form = graph._closed_form_component
+        monkeypatch.setattr(graph, "_closed_form_component",
+                            lambda *args: closed_form(*args) + 1e-9)
+        with pytest.raises(ArithmeticError,
+                           match=re.escape("disagree on PathSpec(vertices=(1, 2, 3))")):
+            path_weight_gen(A3, PathSpec((1, 2, 3)), 0.6, 1)
 
     def test_coefficients_sum_to_one(self):
         import math

@@ -535,6 +535,7 @@ def _late_input(n, kind, seed):
 
 LATE_OPS = [*(GeneralizedMean(0.6, p) for p in (-2.0, -1.0, 0.5, 1.0, 2.0)),
             *(ConvexCombo(lam) for lam in (0.0, 0.5, 1.0))]
+PLAIN_LATE_OPS = [*(GeneralizedMean(0.6, p) for p in (0.5, 1.0, 2.0)), ConvexCombo(0.5)]
 
 
 class TestPrunedKernel:
@@ -576,6 +577,77 @@ class TestPrunedKernel:
         got = matrix._reduce_rows(counted_add, x, matrix._Right(y, n))
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert sum(terms) < n * n * (2 * PRUNE_K + 1) + 0.1 * n**3
+
+    @pytest.mark.parametrize("op", PLAIN_LATE_OPS, ids=repr)
+    def test_late_step_proven_from_right_candidates(self, monkeypatch, op):
+        # In a late step the left factor has contracted, and A's own
+        # PRUNE_K largest terms per column prove every entry: no row
+        # group partitions its rows of the left factor, and each entry
+        # combines its PRUNE_K candidate terms and one bound term, and
+        # nothing else. Two candidate lists would take 2 * PRUNE_K + 1.
+        n = 150
+        A = _late_input(n, "plain", n)
+        X = power(A, 20, op)
+        right = matrix._prepare(A, op, n)
+        partitions, terms = [], []
+        top, reduce_rows = matrix._top, matrix._reduce_rows
+
+        def top_spy(v):
+            partitions.append(v.shape)
+            return top(v)
+
+        def counted(combine, x, right):
+            def counted_combine(a, b, out=None):
+                out = combine(a, b, out=out)
+                terms.append(out.size)
+                return out
+
+            return reduce_rows(counted_combine, x, right)
+
+        with monkeypatch.context() as m:
+            m.setattr(matrix, "_top", top_spy)
+            m.setattr(matrix, "_reduce_rows", counted)
+            got = compose(X, A, op, _right=right)
+        assert partitions == []
+        assert sum(terms) <= 2 * n * n * (PRUNE_K + 1)  # mu and nu
+        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
+        want = compose(X, A, op, _right=right)
+        assert got.mu.tobytes() == want.mu.tobytes()
+        assert got.nu.tobytes() == want.nu.tobytes()
+
+    def test_row_candidates_prove_what_right_candidates_cannot(self, monkeypatch):
+        # The first row group's rows each hold PRUNE_K large entries
+        # among small ones, as every column of y does. Where a row's
+        # large t miss a column's, the column's candidates stay below
+        # combine(row max, y'_j), so the group takes its own candidates,
+        # which prove it. The second group's rows are nearly constant,
+        # and the column candidates prove them alone.
+        rng = np.random.default_rng(12)
+        n = 100
+        step = CHUNK_BYTES // (8 * PRUNE_K * n)
+        x, y = rng.random((n, n)) * 0.1, rng.random((n, n)) * 0.1
+        for k in range(n):
+            x[k, rng.choice(n, PRUNE_K, replace=False)] = 0.9 + rng.random(PRUNE_K) * 0.1
+            y[rng.choice(n, PRUNE_K, replace=False), k] = 0.9 + rng.random(PRUNE_K) * 0.1
+        x[step:] = 0.5 + rng.random((n - step, n)) * 0.01
+        partitions, full_rows = [], []
+        top, full = matrix._top, matrix._reduce_full
+
+        def top_spy(v):
+            partitions.append(v.shape)
+            return top(v)
+
+        def full_spy(combine, x, y, out=None):
+            full_rows.append(x.shape[0])
+            return full(combine, x, y, out)
+
+        right = matrix._Right(y, n)
+        monkeypatch.setattr(matrix, "_top", top_spy)
+        monkeypatch.setattr(matrix, "_reduce_full", full_spy)
+        got = matrix._reduce_rows(np.add, x, right)
+        assert got.tobytes() == _reference_on_right(np.add, x, right).tobytes()
+        assert partitions == [(step, n)]
+        assert full_rows == []
 
     def test_every_path_bit_identical(self, monkeypatch):
         # A min-plus reduction, run as the kernel's max-plus on negated
@@ -785,6 +857,30 @@ class TestPrunedKernel:
         assert full_rows == []
         monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
         assert pruned <= peak()
+
+    @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), ConvexCombo(0.5)], ids=repr)
+    def test_declining_compose_frees_its_candidates(self, monkeypatch, op):
+        # A first step A o A at n = 300 declines in its first group, after
+        # both stages. No candidate grid may stay alive beside the full
+        # kernel's chunks: the peak stays within one grid of the full
+        # kernel's own.
+        n = 300
+        A = _late_input(n, "plain", 3)
+        right = matrix._prepare(A, op, n)
+        grid_bytes = 8 * PRUNE_K * n * (CHUNK_BYTES // (8 * PRUNE_K * n))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                compose(A, A, op, _right=right)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pruned = peak()
+        monkeypatch.setattr(matrix, "_reduce_rows", lambda combine, x, right: matrix._reduce_full(
+            combine, x, right, np.empty((len(x), right.y.shape[1]))))
+        assert pruned < peak() + grid_bytes
 
     def test_fortran_ordered_factor_bit_identical(self, monkeypatch):
         # A Fortran-ordered right factor is pruned like a C-ordered one

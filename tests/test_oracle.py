@@ -73,6 +73,28 @@ def test_enumeration_cap_checked_before_any_work(monkeypatch):
         differential_check(1, OracleBudget(max_n=3000, max_m=2), seed=3, power_fn=never)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 3162, 3163])
+def test_enumeration_cap_matches_the_power(n):
+    # The cap is tested without building n^(m+1), and agrees with the
+    # power: 3162^2 and 10^7 lie at or under ENUMERATION_CAP = 10^7,
+    # 3163^2 and 10^8 above it.
+    budget = OracleBudget(max_n=n, max_m=40)
+    for m in range(1, 41):
+        if n ** (m + 1) > oracle.ENUMERATION_CAP:
+            with pytest.raises(BudgetExceededError, match=r"n\^\(m\+1\) > 10000000$"):
+                oracle._check_budget(n, m, budget)
+        else:
+            oracle._check_budget(n, m, budget)
+
+
+def test_enumeration_cap_checked_at_a_huge_m():
+    # A 1x1 matrix's walks stay under the cap at any m.
+    budget = OracleBudget(max_n=4, max_m=10**12)
+    oracle._check_budget(1, 10**12, budget)
+    with pytest.raises(BudgetExceededError, match=f"n=2, m={10**12} exceeds ENUMERATION_CAP"):
+        oracle._check_budget(2, 10**12, budget)
+
+
 def test_max_min_degenerates_to_first_edge():
     # lam=1 collapses the fold to the first edge, so A^m row i is the
     # row max/min of A itself
