@@ -73,33 +73,33 @@ def parse_matrix(text):
         raise ParseError("entries must be a list of rows")
     if len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
-    mu, nu = [], []
+    planes = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {i} is ragged: expected {cols} entries")
         try:
-            row_mu = [float(cell["mu"]) for cell in row]
-            row_nu = [float(cell["nu"]) for cell in row]
-            pair = np.array([row_mu, row_nu])
+            pair = np.array([[float(cell["mu"]) for cell in row],
+                             [float(cell["nu"]) for cell in row]])
             # min and max propagate NaN, so NaN fails the range test.
             valid = (pair.min() >= 0 and pair.max() <= 1
                      and (pair[0] + pair[1] <= 1.0 + SUM_TOL).all())
         except (TypeError, KeyError, ValueError, OverflowError):
             valid = False
         if not valid:
-            row_mu, row_nu = [], []
+            pair = []
             for j, cell in enumerate(row):
                 if not isinstance(cell, dict) or {"mu", "nu"} - cell.keys():
                     raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
                 try:
-                    e = Ifn(cell["mu"], cell["nu"])
+                    pair.append(tuple(Ifn(cell["mu"], cell["nu"])))
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
-                row_mu.append(e.mu)
-                row_nu.append(e.nu)
-        mu.append(row_mu)
-        nu.append(row_nu)
-    return Ifm(mu, nu)
+            pair = np.array(pair).T
+        planes.append(pair)
+    pairs = np.stack(planes, axis=1)
+    # Freed before Ifm copies the stack.
+    del planes
+    return Ifm(*pairs)
 
 
 def format_matrix(M, display=None):
@@ -157,8 +157,8 @@ def _operator_from_args(args):
     return ConvexCombo(args.lam)
 
 
-# Most points a start:stop:step grid may hold; each point is a whole
-# power sequence, and the list itself is built before any work.
+# Most points a start:stop:step grid, or a sweep's lambda x p product,
+# may hold; each point is a power sequence, listed before any work.
 GRID_MAX_POINTS = 10**6
 
 
@@ -316,6 +316,8 @@ def cmd_sweep(args):
     # Every operator is built, and so checked, before the first fold.
     if args.op == "gen-mean":
         ps = sorted(parse_grid(args.p_grid))
+        if len(lambdas) * len(ps) > GRID_MAX_POINTS:
+            raise ValueError(f"sweep has more than {GRID_MAX_POINTS} (lambda, p) points")
         ops = [GeneralizedMean(lam, p) for lam in lambdas for p in ps]
     else:
         ops = [ConvexCombo(lam) for lam in lambdas]

@@ -1,9 +1,9 @@
 """Matrix composition, left-fold powers, and the convergence engine.
 
-Matrices store the membership and non-membership components as two
-float64 numpy arrays. Entries of a freshly ingested matrix satisfy the
-IFN sum constraint; intermediate powers under p > 1 may not, and such
-violations are counted, never clamped.
+Matrices store the membership and non-membership components as the two
+planes of one float64 numpy array. Entries of a freshly ingested matrix
+satisfy the IFN sum constraint; intermediate powers under p > 1 may not,
+and such violations are counted, never clamped.
 """
 
 from __future__ import annotations
@@ -97,38 +97,42 @@ def harmonic():
 class Ifm:
     """A rectangular grid of <mu, nu> pairs.
 
-    Each component is a private, read-only copy of the input. Adding
-    0.0 makes that copy and turns -0.0 into +0.0, so no matrix holds a
+    Both components live in pairs, one private, read-only
+    (2, rows, cols) copy of the input; mu and nu are its two planes.
+    Adding 0.0 to the copy turns -0.0 into +0.0, so no matrix holds a
     negative zero and every max or min over its entries is the same
     float in any order.
     """
 
-    __slots__ = ("mu", "nu")
+    __slots__ = ("pairs", "mu", "nu")
 
     def __init__(self, mu, nu):
-        mu = np.asarray(mu, dtype=np.float64) + 0.0
-        nu = np.asarray(nu, dtype=np.float64) + 0.0
+        mu = np.asarray(mu, dtype=np.float64)
+        nu = np.asarray(nu, dtype=np.float64)
         if mu.ndim != 2 or mu.shape != nu.shape:
             raise DimensionMismatchError(
                 f"component grids must share a 2-D shape, got {mu.shape} and {nu.shape}"
             )
         if mu.size == 0:
             raise DimensionMismatchError("matrix must be non-empty")
+        # concatenate keeps each plane in its input's memory order.
+        pairs = np.concatenate((mu[None], nu[None]))
+        pairs += 0.0
         # min and max propagate NaN, so NaN fails the range test.
-        if not (mu.min() >= 0 and mu.max() <= 1 and nu.min() >= 0 and nu.max() <= 1):
+        if not (pairs.min() >= 0 and pairs.max() <= 1):
             raise ValueError("all components must be finite and lie in [0, 1]")
-        self.mu = mu
-        self.nu = nu
-        self.mu.setflags(write=False)
-        self.nu.setflags(write=False)
+        self._hold(pairs)
+
+    def _hold(self, pairs):
+        pairs.setflags(write=False)
+        self.pairs = pairs
+        self.mu, self.nu = pairs
 
     @classmethod
-    def _wrap(cls, mu, nu):
+    def _wrap(cls, pairs):
         """compose's fresh output, in [0, 1] by construction, as is."""
         M = object.__new__(cls)
-        mu.setflags(write=False)
-        nu.setflags(write=False)
-        M.mu, M.nu = mu, nu
+        M._hold(pairs)
         return M
 
     @classmethod
@@ -177,14 +181,10 @@ class Ifm:
     def __eq__(self, other):
         if not isinstance(other, Ifm):
             return NotImplemented
-        return (
-            self.mu.shape == other.mu.shape
-            and np.array_equal(self.mu, other.mu)
-            and np.array_equal(self.nu, other.nu)
-        )
+        return np.array_equal(self.pairs, other.pairs)
 
     def __hash__(self):
-        return hash((self.mu.tobytes(), self.nu.tobytes()))
+        return hash(self.pairs.tobytes())
 
     def __repr__(self):
         body = "; ".join(
@@ -346,22 +346,31 @@ def _star(lam):
 
 
 def _s_exponent(op):
-    """The p of GeneralizedMean's s domain. With lam in {0, 1} the mean
-    keeps one argument for every p, and p = 1 computes it exactly:
-    1 * x + 0 * y is x, x ** 1.0 is x, and no weight of 0 meets the inf
-    that a zero gives for p < 0 (0 * inf is NaN)."""
-    return op.p if 0.0 < op.lam < 1.0 else 1.0
+    """The p of GeneralizedMean's s domain, and 1 for ConvexCombo, which
+    works on x. With lam in {0, 1} the mean keeps one argument for
+    every p, and p = 1 computes it exactly: 1 * x + 0 * y is x, x ** 1.0
+    is x, and no weight of 0 meets the inf that a zero gives for p < 0
+    (0 * inf is NaN)."""
+    return op.p if isinstance(op, GeneralizedMean) and 0.0 < op.lam < 1.0 else 1.0
+
+
+def _terms(M, op, weight):
+    """M's components as compose max-reduces them: x for ConvexCombo,
+    and weight * x^p, the weight signed as p, in GeneralizedMean's s
+    domain. nu's terms are negated, which leaves the component that
+    reduces by min (nu, or mu at p < 0) on negated terms."""
+    if isinstance(op, ConvexCombo):
+        return M.mu, -M.nu
+    p = _s_exponent(op)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = M.pairs ** p
+        s *= math.copysign(weight, p)
+    return s[0], np.negative(s[1], out=s[1])
 
 
 def _prepare(B, op, r):
-    """B's side of X o B under op for X with r rows: a _Right per
-    component. A component reducing by min (see compose) is negated."""
-    if isinstance(op, ConvexCombo):
-        return _Right(B.mu, r), _Right(-B.nu, r)
-    p = _s_exponent(op)
-    w = math.copysign(1.0 - op.lam, p)
-    with np.errstate(divide="ignore", over="ignore"):
-        return _Right(w * B.mu ** p, r), _Right(-w * B.nu ** p, r)
+    """B's side of X o B under op for X with r rows: a _Right per plane."""
+    return tuple(_Right(y, r) for y in _terms(B, op, 1.0 - op.lam))
 
 
 def compose(A, B, op, *, _right=None):
@@ -406,23 +415,19 @@ def compose(A, B, op, *, _right=None):
             f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}"
         )
     right = _prepare(B, op, A.rows) if _right is None else _right
-    if isinstance(op, GeneralizedMean):
-        p = _s_exponent(op)
-        w = math.copysign(op.lam, p)
-        with np.errstate(divide="ignore", over="ignore"):
-            mu = _reduce_rows(np.add, w * A.mu ** p, right[0])
-            nu = _reduce_rows(np.add, -w * A.nu ** p, right[1])
-        mu, nu = (mu, -nu) if p > 0 else (-mu, nu)
-        mu **= 1.0 / p
-        nu **= 1.0 / p
-    else:
-        combine = _star(op.lam)
-        mu = _reduce_rows(combine, A.mu, right[0])
-        nu = -_reduce_rows(combine, -A.nu, right[1])
+    combine = np.add if isinstance(op, GeneralizedMean) else _star(op.lam)
+    pairs = np.empty((2, A.rows, B.cols))
+    for out, x, side in zip(pairs, _terms(A, op, op.lam), right):
+        # Every mean and star is >= 0, so abs negates back the plane
+        # that reduced by min on negated terms (see above), and only it.
+        np.abs(_reduce_rows(combine, x, side), out=out)
+    p = _s_exponent(op)
+    if p != 1.0:
+        pairs **= 1.0 / p
     # Guard against float spill just outside [0, 1]. No term is NaN, and
     # each negated result comes back >= 0 with no -0.0 (see above), so
-    # the fresh, clipped arrays are wrapped without Ifm's copy and check.
-    return Ifm._wrap(mu.clip(0.0, 1.0, out=mu), nu.clip(0.0, 1.0, out=nu))
+    # the fresh, clipped array is wrapped without Ifm's copy and check.
+    return Ifm._wrap(pairs.clip(0.0, 1.0, out=pairs))
 
 
 def power(A, k, op):
@@ -447,9 +452,7 @@ def delta(A, B):
         raise DimensionMismatchError(
             f"shape mismatch: {A.mu.shape} vs {B.mu.shape}"
         )
-    return float(
-        max(np.abs(A.mu - B.mu).max(), np.abs(A.nu - B.nu).max())
-    )
+    return float(np.abs(A.pairs - B.pairs).max())
 
 
 def row_uniformity(M):
@@ -457,9 +460,7 @@ def row_uniformity(M):
     0 means all rows are identical."""
     if not M.is_square():
         raise DimensionMismatchError("row uniformity is defined for square matrices")
-    spread_mu = (M.mu.max(axis=0) - M.mu.min(axis=0)).max()
-    spread_nu = (M.nu.max(axis=0) - M.nu.min(axis=0)).max()
-    return float(max(spread_mu, spread_nu))
+    return float((M.pairs.max(axis=1) - M.pairs.min(axis=1)).max())
 
 
 def is_universal(M, tol):

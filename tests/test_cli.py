@@ -371,6 +371,19 @@ def test_parse_grid_rejects_unbounded_grids(text):
         parse_grid(text)
 
 
+def test_sweep_bounds_its_lambda_p_product_before_building_operators(a_file, capsys, monkeypatch):
+    # Each grid holds 1,001 points, under GRID_MAX_POINTS; the sweep
+    # would hold 1,002,001 operators.
+    built = []
+    monkeypatch.setattr(cli, "GeneralizedMean", lambda *args: built.append(args))
+    argv = ["sweep", "--input", a_file, "--lambda-grid", "0:1:0.001", "--p-grid=1:2:0.001"]
+    assert main(argv) == 2
+    assert built == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sweep has more than {cli.GRID_MAX_POINTS} (lambda, p) points\n"
+
+
 class TestUnreadableInput:
     def test_directory_exits_2(self, tmp_path, capsys):
         code = main(["converge", "--input", str(tmp_path), "--p", "1"])

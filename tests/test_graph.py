@@ -304,6 +304,26 @@ class TestPredictions:
         assert predict_column_limits(M) == (False, False, False)
         assert not predict_universal(M)
 
+    def test_universal_prediction_agrees_with_column_limits(self):
+        # Every column holds an exact <1, 0> iff every column is reached
+        # from a critical cycle: walking exact entries backwards from any
+        # column never stops, so it enters a cycle. A near miss, mu = 1
+        # and nu = 1e-300, is no critical edge.
+        rng = np.random.default_rng(11)
+        universal = 0
+        for t in range(600):
+            n = 1 + t % 30
+            u = rng.random((n, n))
+            v = rng.random((n, n)) * (1 - u)
+            one = rng.random((n, n)) < rng.random()
+            u[one], v[one] = 1.0, 0.0
+            near = rng.random((n, n)) < rng.random() * 0.5
+            u[near], v[near] = 1.0, 1e-300
+            M = Ifm(u, v)
+            assert predict_universal(M) == all(predict_column_limits(M))
+            universal += predict_universal(M)
+        assert 100 < universal < 500
+
     def test_identity_pattern(self):
         M = Ifm.from_pairs([[(1, 0), (0, 1)], [(0, 1), (1, 0)]])
         assert predict_universal(M)

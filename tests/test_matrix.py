@@ -108,6 +108,21 @@ def test_ifm_stores_a_private_copy_with_positive_zeros():
     assert not M.mu.flags.writeable and not M.nu.flags.writeable
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Ifm([[-0.0, 0.5]], [[0.5, -0.0]]),
+    lambda: compose(A3, A3, GM),
+    lambda: compose(B3, B3, ConvexCombo(0.5)),
+], ids=["init", "compose-gm", "compose-star"])
+def test_ifm_components_are_planes_of_one_read_only_array(make):
+    M = make()
+    assert M.pairs.shape == (2, M.rows, M.cols)
+    assert M.mu.base is M.pairs and M.nu.base is M.pairs
+    assert not M.pairs.flags.writeable
+    assert not M.mu.flags.writeable and not M.nu.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        M.pairs[1, 0, 0] = 0.25
+
+
 def test_from_pairs_ragged():
     with pytest.raises(DimensionMismatchError):
         Ifm.from_pairs([[(1, 0), (0, 1)], [(1, 0)]])
