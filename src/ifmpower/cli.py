@@ -55,9 +55,9 @@ def parse_matrix(text):
     """Parse and validate a JSON matrix document into an Ifm.
 
     Each row is read whole, through float() as Ifn reads, and checked as
-    Ifn checks. Only a row that fails is read again one Ifn per entry, so
-    the error names the first bad entry. Nothing is sized from the
-    declared rows and cols before the rows are read.
+    Ifn checks, range and sum. Only a row that fails is read again one Ifn
+    per entry, so the error names the first bad entry. The rows fill one
+    array, sized only once row 0 has passed its length check.
     """
     try:
         doc = json.loads(text)
@@ -73,10 +73,11 @@ def parse_matrix(text):
         raise ParseError("entries must be a list of rows")
     if len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
-    planes = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {i} is ragged: expected {cols} entries")
+        if i == 0:
+            pairs = np.empty((2, rows, cols))
         try:
             pair = np.array([[float(cell["mu"]) for cell in row],
                              [float(cell["nu"]) for cell in row]])
@@ -95,11 +96,9 @@ def parse_matrix(text):
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
             pair = np.array(pair).T
-        planes.append(pair)
-    pairs = np.stack(planes, axis=1)
-    # Freed before Ifm copies the stack.
-    del planes
-    return Ifm(*pairs)
+        pairs[:, i] = pair
+    pairs += 0.0
+    return Ifm._wrap(pairs)
 
 
 def format_matrix(M, display=None):

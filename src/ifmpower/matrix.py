@@ -130,7 +130,8 @@ class Ifm:
 
     @classmethod
     def _wrap(cls, pairs):
-        """compose's fresh output, in [0, 1] by construction, as is."""
+        """A fresh array already in [0, 1] with no NaN or -0.0, held as
+        is: compose's output, or parse_matrix's rows, each checked."""
         M = object.__new__(cls)
         M._hold(pairs)
         return M
@@ -255,9 +256,9 @@ def _top(v):
     return idx[:, 1:], val[:, 1:], val[:, 0]
 
 
-def _reduce_rows(combine, x, right):
+def _reduce_rows(combine, x, right, out):
     """out[i, j] = max over t of combine(x[i, t], y[t, j]), where y is
-    right.y and combine is monotone non-decreasing in both arguments.
+    right.y and combine is non-decreasing in each argument, into out.
 
     Where right carries a partition (reductions of PRUNE_MIN_T or more
     terms), entries are proven by a certificate (the threshold rule of
@@ -293,7 +294,6 @@ def _reduce_rows(combine, x, right):
     every later row are reduced in full.
     """
     r, c = len(x), right.y.shape[1]
-    out = np.empty((r, c))
     if right.top is None:
         return _reduce_full(combine, x, right, out)
     y = right.y
@@ -418,9 +418,10 @@ def compose(A, B, op, *, _right=None):
     combine = np.add if isinstance(op, GeneralizedMean) else _star(op.lam)
     pairs = np.empty((2, A.rows, B.cols))
     for out, x, side in zip(pairs, _terms(A, op, op.lam), right):
-        # Every mean and star is >= 0, so abs negates back the plane
-        # that reduced by min on negated terms (see above), and only it.
-        np.abs(_reduce_rows(combine, x, side), out=out)
+        _reduce_rows(combine, x, side, out)
+    # Every mean and star is >= 0, so abs negates back the plane that
+    # reduced by min on negated terms (see above), and only it.
+    np.abs(pairs, out=pairs)
     p = _s_exponent(op)
     if p != 1.0:
         pairs **= 1.0 / p

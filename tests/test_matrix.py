@@ -23,6 +23,7 @@ from ifmpower import (
     step_bound,
 )
 from ifmpower import matrix
+from ifmpower.cli import parse_matrix
 from ifmpower.matrix import CHUNK_BYTES, PRUNE_K, PRUNE_MIN_T
 from ifmpower.oracle import OracleBudget, brute_force_power
 
@@ -112,10 +113,13 @@ def test_ifm_stores_a_private_copy_with_positive_zeros():
     lambda: Ifm([[-0.0, 0.5]], [[0.5, -0.0]]),
     lambda: compose(A3, A3, GM),
     lambda: compose(B3, B3, ConvexCombo(0.5)),
-], ids=["init", "compose-gm", "compose-star"])
+    lambda: parse_matrix('{"rows": 1, "cols": 2, "entries": '
+                         '[[{"mu": -0.0, "nu": 0.5}, {"mu": 0.5, "nu": -0.0}]]}'),
+], ids=["init", "compose-gm", "compose-star", "parse"])
 def test_ifm_components_are_planes_of_one_read_only_array(make):
     M = make()
     assert M.pairs.shape == (2, M.rows, M.cols)
+    assert not np.signbit(M.pairs).any()
     assert M.mu.base is M.pairs and M.nu.base is M.pairs
     assert not M.pairs.flags.writeable
     assert not M.mu.flags.writeable and not M.nu.flags.writeable
@@ -520,10 +524,11 @@ def _reference_reduce_rows(reduce, combine, x, y):
     return out
 
 
-def _reference_on_right(combine, x, right):
+def _reference_on_right(combine, x, right, out):
     """_reference_reduce_rows by max, with the signature of _reduce_rows,
     whose right factor comes prepared."""
-    return _reference_reduce_rows(np.maximum, combine, x, right.y)
+    out[...] = _reference_reduce_rows(np.maximum, combine, x, right.y)
+    return out
 
 
 def _late_input(n, kind, seed):
@@ -589,7 +594,7 @@ class TestPrunedKernel:
             terms.append(out.size)
             return out
 
-        got = matrix._reduce_rows(counted_add, x, matrix._Right(y, n))
+        got = matrix._reduce_rows(counted_add, x, matrix._Right(y, n), np.full((n, n), np.nan))
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert sum(terms) < n * n * (2 * PRUNE_K + 1) + 0.1 * n**3
 
@@ -611,13 +616,13 @@ class TestPrunedKernel:
             partitions.append(v.shape)
             return top(v)
 
-        def counted(combine, x, right):
+        def counted(combine, x, right, out):
             def counted_combine(a, b, out=None):
                 out = combine(a, b, out=out)
                 terms.append(out.size)
                 return out
 
-            return reduce_rows(counted_combine, x, right)
+            return reduce_rows(counted_combine, x, right, out)
 
         with monkeypatch.context() as m:
             m.setattr(matrix, "_top", top_spy)
@@ -659,8 +664,8 @@ class TestPrunedKernel:
         right = matrix._Right(y, n)
         monkeypatch.setattr(matrix, "_top", top_spy)
         monkeypatch.setattr(matrix, "_reduce_full", full_spy)
-        got = matrix._reduce_rows(np.add, x, right)
-        assert got.tobytes() == _reference_on_right(np.add, x, right).tobytes()
+        got = matrix._reduce_rows(np.add, x, right, np.full((n, n), np.nan))
+        assert got.tobytes() == _reference_on_right(np.add, x, right, np.empty((n, n))).tobytes()
         assert partitions == [(step, n)]
         assert full_rows == []
 
@@ -722,7 +727,7 @@ class TestPrunedKernel:
             return full(combine, x, y, out)
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = -matrix._reduce_rows(traced_add, -x, matrix._Right(-y, n))
+        got = -matrix._reduce_rows(traced_add, -x, matrix._Right(-y, n), np.full((n, n), np.nan))
         want = _reference_reduce_rows(np.minimum, np.add, x, y)
         assert got.tobytes() == want.tobytes()
         zeros = got == 0
@@ -763,9 +768,9 @@ class TestPrunedKernel:
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
         right = matrix._Right(y, n)
-        got = matrix._reduce_rows(np.add, x, right)
+        got = matrix._reduce_rows(np.add, x, right, np.full((n, n), np.nan))
         assert full_calls == [(n - crossed.start, n - crossed.start)]
-        assert got.tobytes() == _reference_on_right(np.add, x, right).tobytes()
+        assert got.tobytes() == _reference_on_right(np.add, x, right, np.empty((n, n))).tobytes()
 
     def test_ties_at_the_bound_certified(self, monkeypatch):
         # Each line holds PRUNE_K large entries among small ones, except
@@ -794,7 +799,7 @@ class TestPrunedKernel:
             return full(combine, x, y, out)
 
         monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = matrix._reduce_rows(traced_add, x, matrix._Right(y, n))
+        got = matrix._reduce_rows(traced_add, x, matrix._Right(y, n), np.full((n, n), np.nan))
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert (got == 1.0).sum() == ((n + 2) // 3) ** 2
         assert full_rows == []
@@ -893,8 +898,7 @@ class TestPrunedKernel:
                 tracemalloc.stop()
 
         pruned = peak()
-        monkeypatch.setattr(matrix, "_reduce_rows", lambda combine, x, right: matrix._reduce_full(
-            combine, x, right, np.empty((len(x), right.y.shape[1]))))
+        monkeypatch.setattr(matrix, "_reduce_rows", matrix._reduce_full)
         assert pruned < peak() + grid_bytes
 
     def test_fortran_ordered_factor_bit_identical(self, monkeypatch):
@@ -997,7 +1001,8 @@ class TestChunkedKernel:
                     right = matrix._Right(sign * y, r)
                     # Every case with several chunks ends in a partial one.
                     assert right.rows == r or r % right.rows
-                    got = sign * matrix._reduce_full(combine, sign * x, right, np.empty((r, c)))
+                    got = sign * matrix._reduce_full(combine, sign * x, right,
+                                                     np.full((r, c), np.nan))
                     want = _reference_reduce_rows(reduce, reference[reduce], x, y)
                     assert got.tobytes() == want.tobytes(), (r, t, c, reduce, kind)
 
