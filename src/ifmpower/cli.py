@@ -56,8 +56,9 @@ def parse_matrix(text):
 
     Each row is read whole, through float() as Ifn reads, and checked as
     Ifn checks, range and sum. Only a row that fails is read again one Ifn
-    per entry, so the error names the first bad entry. The rows fill one
-    array, sized only once row 0 has passed its length check.
+    per entry, which raises at the first bad entry and names it. The rows
+    fill one array, allocated only once every row is known to be a list
+    of cols entries, so its size is bounded by what json.loads has built.
     """
     try:
         doc = json.loads(text)
@@ -73,11 +74,12 @@ def parse_matrix(text):
         raise ParseError("entries must be a list of rows")
     if len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
+    pairs = None
+    if all(isinstance(row, list) and len(row) == cols for row in entries):
+        pairs = np.empty((2, rows, cols))
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {i} is ragged: expected {cols} entries")
-        if i == 0:
-            pairs = np.empty((2, rows, cols))
         try:
             pair = np.array([[float(cell["mu"]) for cell in row],
                              [float(cell["nu"]) for cell in row]])
@@ -87,17 +89,15 @@ def parse_matrix(text):
         except (TypeError, KeyError, ValueError, OverflowError):
             valid = False
         if not valid:
-            pair = []
             for j, cell in enumerate(row):
                 if not isinstance(cell, dict) or {"mu", "nu"} - cell.keys():
                     raise ParseError(f"entry ({i}, {j}) must be an object with mu and nu")
                 try:
-                    pair.append(tuple(Ifn(cell["mu"], cell["nu"])))
+                    Ifn(cell["mu"], cell["nu"])
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
-            pair = np.array(pair).T
-        pairs[:, i] = pair
-    pairs += 0.0
+        if pairs is not None:
+            pairs[:, i] = pair
     return Ifm._wrap(pairs)
 
 

@@ -99,9 +99,9 @@ class Ifm:
 
     Both components live in pairs, one private, read-only
     (2, rows, cols) copy of the input; mu and nu are its two planes.
-    Adding 0.0 to the copy turns -0.0 into +0.0, so no matrix holds a
-    negative zero and every max or min over its entries is the same
-    float in any order.
+    Adding 0.0 to pairs as it is held turns -0.0 into +0.0, so no matrix
+    holds a negative zero and every max or min over its entries is the
+    same float in any order.
     """
 
     __slots__ = ("pairs", "mu", "nu")
@@ -117,21 +117,22 @@ class Ifm:
             raise DimensionMismatchError("matrix must be non-empty")
         # concatenate keeps each plane in its input's memory order.
         pairs = np.concatenate((mu[None], nu[None]))
-        pairs += 0.0
         # min and max propagate NaN, so NaN fails the range test.
         if not (pairs.min() >= 0 and pairs.max() <= 1):
             raise ValueError("all components must be finite and lie in [0, 1]")
         self._hold(pairs)
 
     def _hold(self, pairs):
+        pairs += 0.0
         pairs.setflags(write=False)
         self.pairs = pairs
         self.mu, self.nu = pairs
 
     @classmethod
     def _wrap(cls, pairs):
-        """A fresh array already in [0, 1] with no NaN or -0.0, held as
-        is: compose's output, or parse_matrix's rows, each checked."""
+        """Hold a fresh array whose values its builder has checked to lie
+        in [0, 1], without Ifm's copy and range scan: compose's output,
+        or parse_matrix's rows."""
         M = object.__new__(cls)
         M._hold(pairs)
         return M
@@ -425,8 +426,7 @@ def compose(A, B, op, *, _right=None):
     p = _s_exponent(op)
     if p != 1.0:
         pairs **= 1.0 / p
-    # Guard against float spill just outside [0, 1]. No term is NaN, and
-    # each negated result comes back >= 0 with no -0.0 (see above), so
+    # Guard against float spill just outside [0, 1]. No term is NaN, so
     # the fresh, clipped array is wrapped without Ifm's copy and check.
     return Ifm._wrap(pairs.clip(0.0, 1.0, out=pairs))
 

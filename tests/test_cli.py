@@ -275,15 +275,25 @@ class TestParseMatrix:
         assert outcomes == {Ifm, ParseError, ValidationError}
 
     def test_huge_declared_width_allocates_nothing(self):
-        text = json.dumps({"rows": 1, "cols": 10**7, "entries": [[{"mu": 0.5, "nu": 0.25}]]})
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParseError, match="row 0 is ragged: expected 10000000 entries"):
-                parse_matrix(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # No (2, rows, cols) array is asked for until every row has passed
+        # its length check: not for a huge declared width, and not for a
+        # valid row 0 followed by empty rows, whose array would be 34 MiB.
+        cell = {"mu": 0.5, "nu": 0.25}
+        for doc, message in [
+            ({"rows": 1, "cols": 10**7, "entries": [[cell]]},
+             "row 0 is ragged: expected 10000000 entries"),
+            ({"rows": 1500, "cols": 1500, "entries": [[cell] * 1500] + [[]] * 1499},
+             "row 1 is ragged: expected 1500 entries"),
+        ]:
+            text = json.dumps(doc)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError, match=message):
+                    parse_matrix(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_example_document(self):
         A = parse_matrix(A_DOC)
