@@ -56,9 +56,10 @@ def parse_matrix(text):
 
     Each row is read whole, through float() as Ifn reads, and checked as
     Ifn checks, range and sum. Only a row that fails is read again one Ifn
-    per entry, which raises at the first bad entry and names it. The rows
-    fill one array, allocated only once every row is known to be a list
-    of cols entries, so its size is bounded by what json.loads has built.
+    per entry, which raises at the first bad entry and names it. One scan
+    finds the first row that is not a list of cols entries; the rows
+    before it fill one array, so its size is bounded by what json.loads
+    has built, and are checked before that row is reported ragged.
     """
     try:
         doc = json.loads(text)
@@ -74,12 +75,10 @@ def parse_matrix(text):
         raise ParseError("entries must be a list of rows")
     if len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {len(entries)}")
-    pairs = None
-    if all(isinstance(row, list) and len(row) == cols for row in entries):
-        pairs = np.empty((2, rows, cols))
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"row {i} is ragged: expected {cols} entries")
+    full = next((i for i, row in enumerate(entries)
+                 if not isinstance(row, list) or len(row) != cols), rows)
+    pairs = np.empty((2, full, cols))
+    for i, row in enumerate(entries[:full]):
         try:
             pair = np.array([[float(cell["mu"]) for cell in row],
                              [float(cell["nu"]) for cell in row]])
@@ -96,8 +95,9 @@ def parse_matrix(text):
                     Ifn(cell["mu"], cell["nu"])
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValidationError(f"entry ({i}, {j}): {exc}") from exc
-        if pairs is not None:
-            pairs[:, i] = pair
+        pairs[:, i] = pair
+    if full < rows:
+        raise ParseError(f"row {full} is ragged: expected {cols} entries")
     return Ifm._wrap(pairs)
 
 
@@ -253,8 +253,8 @@ def build_parser():
                          help="differential test engine vs brute-force oracle")
     so.add_argument("--cases", type=int, default=100)
     so.add_argument("--seed", type=int, default=42)
-    so.add_argument("--max-n", type=int, default=4)
-    so.add_argument("--max-m", type=int, default=5)
+    so.add_argument("--max-n", type=int, default=oracle.OracleBudget.max_n)
+    so.add_argument("--max-m", type=int, default=oracle.OracleBudget.max_m)
 
     return parser
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadPathError, DimensionMismatchError
 from .ifn import ComponentPair, gen_mean_fold, star_fold
-from .matrix import ConvexCombo, GeneralizedMean, Ifm
+from .matrix import ConvexCombo, GeneralizedMean
 
 
 def _vertex(v):

@@ -9,7 +9,6 @@ values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import NotDominatedError, OutOfRangeError, SumViolationError, ZeroPError
@@ -34,10 +33,6 @@ class ComponentPair:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "nu", float(self.nu))
         check_components(self.mu, self.nu)
-
-    def __iter__(self):
-        yield self.mu
-        yield self.nu
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,6 @@ def gen_mean_scalar(x, y, lam, p):
         s = lam * x**p + (1.0 - lam) * y**p
     except OverflowError:
         # x**p for denormal x and p < 0; the mean underflows to 0
-        return 0.0
-    if s == math.inf:
         return 0.0
     return s ** (1.0 / p)
 

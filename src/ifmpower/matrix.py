@@ -401,15 +401,8 @@ def compose(A, B, op, *, _right=None):
     when power or power_sequence passes A's prepared side as _right.
     Both families reduce a combine that is monotone in each argument (+
     in the s domain; min, + and non-negative scaling for ConvexCombo),
-    so _reduce_rows proves most entries of a reduction over PRUNE_MIN_T
-    or more terms from a few candidate terms: first from the PRUNE_K
-    largest terms of their column of B, prepared with B's side, and
-    only for a row group those leave with too many entries unproven,
-    from the PRUNE_K largest of their row of A as well. In a late fold
-    step A^(m-1) has contracted and B's candidates alone prove nearly
-    every entry. Entries no bound proves are reduced over every t in
-    _reduce_full's contiguous chunks or one by one; the output is
-    bit-identical either way.
+    which lets _reduce_rows prove most entries from a few candidate
+    terms with the full reduction's bits; its docstring states the proof.
     """
     if A.cols != B.rows:
         raise DimensionMismatchError(

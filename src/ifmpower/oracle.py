@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, MismatchFoundError
 from .ifn import gen_mean_fold, star_fold
-from .matrix import ConvexCombo, GeneralizedMean, Ifm, power
+from .matrix import ConvexCombo, GeneralizedMean, Ifm, delta, power
 
 ENUMERATION_CAP = 10**7
 
@@ -155,7 +155,7 @@ def differential_check(trials, budget=OracleBudget(), seed=0, power_fn=power):
         op = random_operator(rng)
         got = power_fn(A, m, op)
         want = brute_force_power(A, m, op, budget)
-        dev = float(np.abs(got.pairs - want.pairs).max())
+        dev = delta(got, want)
         report.max_deviation = max(report.max_deviation, dev)
         report.cases.append((n, m, op, dev))
         if dev > ORACLE_TOL:

@@ -192,6 +192,8 @@ MALFORMED = {
                 + "0" * 400 + ', "nu": 0}]]}',
     "bad-cell-before-ragged-row": _doc([[{"mu": 0, "nu": 0}, {"mu": 2, "nu": 0}],
                                         [{"mu": 0, "nu": 0}]]),
+    "ragged-row-before-bad-cell": _doc([[{"mu": 0, "nu": 0}],
+                                        [{"mu": 0, "nu": 0}, {"mu": 2, "nu": 0}]]),
     "bad-value-after-clean-row": _doc([[{"mu": 0, "nu": 0}] * 2,
                                        [{"mu": 0, "nu": 0}, {"mu": 0.6, "nu": 0.5}]]),
     "non-object-after-bad-value": _doc([[{"mu": 2, "nu": 0}, [0.1, 0.2]]]),

@@ -107,6 +107,8 @@ def test_ifm_stores_a_private_copy_with_positive_zeros():
     mu[0, 1] = nu[0, 0] = 0.25
     assert M.mu.tolist() == [[0.0, 0.5]] and M.nu.tolist() == [[0.5, 0.0]]
     assert not M.mu.flags.writeable and not M.nu.flags.writeable
+    # Only another Ifm compares equal.
+    assert not Ifm.universal(2) == "x" and Ifm.universal(2) != "x"
 
 
 @pytest.mark.parametrize("make", [
