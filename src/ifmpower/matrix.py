@@ -21,10 +21,10 @@ from .ifn import ComponentPair, Ifn
 # rather than float drift.
 SUM_VIOLATION_TOL = 1e-9
 
-# Bytes of float64 temporaries per chunk of rows, in _reduce_full and in
-# _reduce_rows alike. A chunk and the tile of the right factor it meets,
-# about 1 MB together, stay inside a 2 MB per-core L2 cache, and no
-# composition allocates an n^3 array.
+# Bytes of float64 temporaries per chunk or group of rows in _reduce_rows.
+# A chunk and the tile of the right factor it meets, about 1 MB together,
+# stay inside a 2 MB per-core L2 cache, and no composition allocates an
+# n^3 array.
 CHUNK_BYTES = 512 * 2**10
 
 # Pruned reductions in compose (see _reduce_rows): candidate t per row
@@ -203,7 +203,7 @@ class _Right:
     - y, its terms;
     - tile, `rows` copies of y side by side, so that entry
       [t, i * c + j] is y[t, j]; rows is the number of left-factor rows
-      in one _reduce_full chunk, at most r, the left factor's row count;
+      in one full-reduce chunk, at most r, the left factor's row count;
     - top, the candidate partition of y's columns for _reduce_rows, or
       None where t < PRUNE_MIN_T and a reduction is not pruned.
     """
@@ -223,29 +223,6 @@ class _Right:
             self.top = top.T.copy(), val.T.copy(), nxt
 
 
-def _reduce_full(combine, x, right, out):
-    """out[i, j] = max over t of combine(x[i, t], y[t, j]), over every
-    t, where y is right.y, written into the caller's (r, c) out.
-
-    Rows of x are taken right.rows at a time, a chunk whose buffer
-    fits CHUNK_BYTES (or holds one row). repeat lays a chunk out as
-    a contiguous (t, rows * c) buffer with entry [t, i * c + j] =
-    x[i, t]; combine(buf, tile, out=buf) meets it with right.tile in
-    place, and the reduce over its first axis writes the chunk's
-    (rows, c) view of out. Every ufunc thus runs one long contiguous
-    inner loop, where broadcasting x[:, :, None] against y would run
-    r * t loops of c elements.
-    """
-    r, t = x.shape
-    c = right.y.shape[1]
-    for i in range(0, r, right.rows):
-        xb = x[i:i + right.rows]
-        buf = xb.T.repeat(c, axis=1)
-        combine(buf, right.tile[:, :buf.shape[1]], out=buf)
-        np.maximum.reduce(buf.reshape(t, len(xb), c), axis=0, out=out[i:i + len(xb)])
-    return out
-
-
 def _top(v):
     """For each row of v: the column indices of its PRUNE_K largest
     entries (ties at the boundary kept in any order), the entries at
@@ -260,6 +237,8 @@ def _top(v):
 def _reduce_rows(combine, x, right, out):
     """out[i, j] = max over t of combine(x[i, t], y[t, j]), where y is
     right.y and combine is non-decreasing in each argument, into out.
+    Returns the first row it reduced in full: 0 where right carries no
+    partition, and len(x) where pruning proved every row group.
 
     Where right carries a partition (reductions of PRUNE_MIN_T or more
     terms), entries are proven by a certificate (the threshold rule of
@@ -287,44 +266,59 @@ def _reduce_rows(combine, x, right, out):
     are reduced over every t again, one by one.
 
     Rows are taken in groups whose (rows, PRUNE_K, c) candidate grids
-    fit CHUNK_BYTES, the budget of _reduce_full's chunks. A group's
-    one-by-one re-reduce takes a (misses, t) grid; a group whose misses
-    after the first stage would pass CHUNK_BYTES takes the second stage,
-    and the first group whose misses after both would pass it (as on a
-    first step A o A, where it is the first group) ends pruning: it and
-    every later row are reduced in full.
+    fit CHUNK_BYTES. A group's one-by-one re-reduce takes a (misses, t)
+    grid; a group whose misses after the first stage would pass
+    CHUNK_BYTES takes the second stage, and the first group whose misses
+    after both would pass it (as on a first step A o A, where it is the
+    first group) ends pruning: it and every later row are reduced in
+    full, and its start is returned.
+
+    The full reduce takes rows right.rows at a time, a chunk whose
+    buffer fits CHUNK_BYTES (or holds one row). repeat lays a chunk out
+    as a contiguous (t, rows * c) buffer, entry [t, i * c + j] =
+    x[i, t]; combine(buf, tile, out=buf) meets it with right.tile in
+    place, and a max over its first axis writes the chunk's (rows, c)
+    view of out. Every ufunc thus runs one long contiguous loop, not
+    r * t loops of c elements as x[:, :, None] broadcast against y would.
     """
-    r, c = len(x), right.y.shape[1]
-    if right.top is None:
-        return _reduce_full(combine, x, right, out)
+    r, t = x.shape
     y = right.y
-    y_top, y_top_val, y_next = right.top
-    step = max(1, CHUNK_BYTES // (8 * PRUNE_K * c))
-    for i in range(0, r, step):
-        xb, cand = x[i:i + step], out[i:i + step]
-        terms = np.take(xb, y_top, axis=1)
-        np.maximum.reduce(combine(terms, y_top_val, out=terms), axis=1, out=cand)
-        # Not cand < bound: a NaN fails greater_equal and is recomputed.
-        need = ~np.greater_equal(cand, combine(xb.max(axis=1)[:, None], y_next))
-        misses = np.count_nonzero(need)
-        if 8 * misses * len(y) > CHUNK_BYTES:
-            x_top, x_top_val, x_next = _top(xb)
-            # The row candidates reuse the first stage's grid; _top's
-            # indices are in range, and mode="raise" would buffer out.
-            np.take(y, x_top, axis=0, out=terms, mode="clip")
-            np.maximum(cand, combine(x_top_val[:, :, None], terms, out=terms).max(axis=1),
-                       out=cand)
-            need &= ~np.greater_equal(cand, combine(x_next[:, None], y_next))
+    c = y.shape[1]
+    start = 0
+    if right.top is not None:
+        y_top, y_top_val, y_next = right.top
+        step = max(1, CHUNK_BYTES // (8 * PRUNE_K * c))
+        for start in range(0, r, step):
+            xb, cand = x[start:start + step], out[start:start + step]
+            terms = np.take(xb, y_top, axis=1)
+            np.maximum.reduce(combine(terms, y_top_val, out=terms), axis=1, out=cand)
+            # Not cand < bound: a NaN fails greater_equal and is recomputed.
+            need = ~np.greater_equal(cand, combine(xb.max(axis=1)[:, None], y_next))
             misses = np.count_nonzero(need)
-        # Freed, so that no re-reduce grid or full-reduce chunk meets it.
-        del terms
-        if 8 * misses * len(y) > CHUNK_BYTES:
-            _reduce_full(combine, x[i:], right, out[i:])
-            break
-        if misses:
-            mi, mj = np.nonzero(need)
-            cand[mi, mj] = combine(xb[mi], y[:, mj].T).max(axis=1)
-    return out
+            if 8 * misses * t > CHUNK_BYTES:
+                x_top, x_top_val, x_next = _top(xb)
+                # The row candidates reuse the first stage's grid; _top's
+                # indices are in range, and mode="raise" would buffer out.
+                np.take(y, x_top, axis=0, out=terms, mode="clip")
+                np.maximum(cand, combine(x_top_val[:, :, None], terms, out=terms).max(axis=1),
+                           out=cand)
+                need &= ~np.greater_equal(cand, combine(x_next[:, None], y_next))
+                misses = np.count_nonzero(need)
+            # Freed, so that no re-reduce grid or full-reduce chunk meets it.
+            del terms
+            if 8 * misses * t > CHUNK_BYTES:
+                break
+            if misses:
+                mi, mj = np.nonzero(need)
+                cand[mi, mj] = combine(xb[mi], y[:, mj].T).max(axis=1)
+        else:
+            return r
+    for i in range(start, r, right.rows):
+        xb = x[i:i + right.rows]
+        buf = xb.T.repeat(c, axis=1)
+        combine(buf, right.tile[:, :buf.shape[1]], out=buf)
+        np.maximum.reduce(buf.reshape(t, len(xb), c), axis=0, out=out[i:i + len(xb)])
+    return start
 
 
 def _star(lam):

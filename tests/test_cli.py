@@ -488,12 +488,17 @@ def test_readme_quick_start_runs(capsys):
 
 def test_cli_import_leaves_scipy_out():
     # Import time is a benchmarked metric, and scipy alone costs more
-    # than the whole package. The child sees this process's sys.path.
+    # than the whole package. The child sees this process's sys.path, and
+    # lists the top-level modules the import loads outside the standard
+    # library, numpy and ifmpower, so the test bites on a host without scipy.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    code = "import sys, ifmpower.cli; print('scipy' in sys.modules)"
+    code = ("import sys; before = set(sys.modules); import ifmpower.cli; "
+            "print('scipy' in sys.modules); "
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'numpy', 'ifmpower'}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "[]"]
 
 
 class TestPowerCommand:

@@ -533,6 +533,14 @@ def _reference_on_right(combine, x, right, out):
     return out
 
 
+def _reference(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every reduction taken by
+    _reference_on_right."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(matrix, "_reduce_rows", _reference_on_right)
+        return fn(*args, **kwargs)
+
+
 def _late_input(n, kind, seed):
     """A random matrix with the structure named by kind: planted +-0.0
     and <1, 0> entries, constant columns, or a coarse grid full of ties."""
@@ -566,16 +574,14 @@ class TestPrunedKernel:
 
     @pytest.mark.parametrize("kind", ["signed-zeros", "constant-columns", "coarse-grid"])
     @pytest.mark.parametrize("n", [64, 100, 150])
-    def test_late_iterates_bit_identical(self, monkeypatch, n, kind):
+    def test_late_iterates_bit_identical(self, n, kind):
         # The broadcast formula reduces mu and nu by max and min on the
         # terms as they are, where compose negates the min side.
         A = _late_input(n, kind, n)
         for op in LATE_OPS:
             X = power(A, 20, op)
             got = compose(X, A, op)
-            with monkeypatch.context() as m:
-                m.setattr(matrix, "_reduce_rows", _reference_on_right)
-                want = compose(X, A, op)
+            want = _reference(compose, X, A, op)
             mu, nu = _broadcast_compose(X, A, op)
             assert got.mu.tobytes() == want.mu.tobytes() == mu.tobytes(), op
             assert got.nu.tobytes() == want.nu.tobytes() == nu.tobytes(), op
@@ -596,12 +602,13 @@ class TestPrunedKernel:
             terms.append(out.size)
             return out
 
-        got = matrix._reduce_rows(counted_add, x, matrix._Right(y, n), np.full((n, n), np.nan))
+        got = np.full((n, n), np.nan)
+        matrix._reduce_rows(counted_add, x, matrix._Right(y, n), got)
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert sum(terms) < n * n * (2 * PRUNE_K + 1) + 0.1 * n**3
 
     @pytest.mark.parametrize("op", PLAIN_LATE_OPS, ids=repr)
-    def test_late_step_proven_from_right_candidates(self, monkeypatch, op):
+    def test_late_step_proven_from_right_candidates(self, kernel_log, op):
         # In a late step the left factor has contracted, and A's own
         # PRUNE_K largest terms per column prove every entry: no row
         # group partitions its rows of the left factor, and each entry
@@ -611,33 +618,15 @@ class TestPrunedKernel:
         A = _late_input(n, "plain", n)
         X = power(A, 20, op)
         right = matrix._prepare(A, op, n)
-        partitions, terms = [], []
-        top, reduce_rows = matrix._top, matrix._reduce_rows
-
-        def top_spy(v):
-            partitions.append(v.shape)
-            return top(v)
-
-        def counted(combine, x, right, out):
-            def counted_combine(a, b, out=None):
-                out = combine(a, b, out=out)
-                terms.append(out.size)
-                return out
-
-            return reduce_rows(counted_combine, x, right, out)
-
-        with monkeypatch.context() as m:
-            m.setattr(matrix, "_top", top_spy)
-            m.setattr(matrix, "_reduce_rows", counted)
+        with kernel_log as log:
             got = compose(X, A, op, _right=right)
-        assert partitions == []
-        assert sum(terms) <= 2 * n * n * (PRUNE_K + 1)  # mu and nu
-        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
-        want = compose(X, A, op, _right=right)
+        assert log.tops == []
+        assert log.terms <= 2 * n * n * (PRUNE_K + 1)  # mu and nu
+        want = _reference(compose, X, A, op, _right=right)
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
 
-    def test_row_candidates_prove_what_right_candidates_cannot(self, monkeypatch):
+    def test_row_candidates_prove_what_right_candidates_cannot(self, kernel_log):
         # The first row group's rows each hold PRUNE_K large entries
         # among small ones, as every column of y does. Where a row's
         # large t miss a column's, the column's candidates stay below
@@ -652,34 +641,21 @@ class TestPrunedKernel:
             x[k, rng.choice(n, PRUNE_K, replace=False)] = 0.9 + rng.random(PRUNE_K) * 0.1
             y[rng.choice(n, PRUNE_K, replace=False), k] = 0.9 + rng.random(PRUNE_K) * 0.1
         x[step:] = 0.5 + rng.random((n - step, n)) * 0.01
-        partitions, full_rows = [], []
-        top, full = matrix._top, matrix._reduce_full
-
-        def top_spy(v):
-            partitions.append(v.shape)
-            return top(v)
-
-        def full_spy(combine, x, y, out=None):
-            full_rows.append(x.shape[0])
-            return full(combine, x, y, out)
-
-        right = matrix._Right(y, n)
-        monkeypatch.setattr(matrix, "_top", top_spy)
-        monkeypatch.setattr(matrix, "_reduce_full", full_spy)
-        got = matrix._reduce_rows(np.add, x, right, np.full((n, n), np.nan))
+        right, got = matrix._Right(y, n), np.full((n, n), np.nan)
+        with kernel_log as log:
+            assert matrix._reduce_rows(np.add, x, right, got) == n
         assert got.tobytes() == _reference_on_right(np.add, x, right, np.empty((n, n))).tobytes()
-        assert partitions == [(step, n)]
-        assert full_rows == []
+        assert log.tops == [((step, n), False)]
 
-    def test_every_path_bit_identical(self, monkeypatch):
+    def test_every_path_bit_identical(self):
         # A min-plus reduction, run as the kernel's max-plus on negated
         # terms, where each row of x and column of y holds PRUNE_K small
         # entries among large ones, so most entries are certified.
         # Crossed rows meet crossed columns where every candidate term
         # lies above the bound, which the other t attain: two such rows,
         # one in the probe, are recomputed entry by entry, and the first
-        # of the last two row groups, all crossed, ends pruning, so both
-        # are reduced in full in one call.
+        # of the last two row groups, all crossed, ends pruning: both
+        # are reduced in full, and _reduce_rows returns its start.
         # Rows and columns holding 0.0 at the same three t give zero
         # minima, which come back from -0.0 as +0.0.
         rng = np.random.default_rng(8)
@@ -716,29 +692,24 @@ class TestPrunedKernel:
         y[:, 150:170] = 0.95
         y[t_y, 150:170] = 0.9
         y[t_x, 150:170] = 1.5
-        combines, full_rows = [], []
+        combines = []
 
         def traced_add(a, b, out=None):
             combines.append((a.shape, b.shape, out))
             return np.add(a, b, out=out)
 
-        full = matrix._reduce_full
-
-        def spy(combine, x, y, out=None):
-            full_rows.append(x.shape[0])
-            return full(combine, x, y, out)
-
-        monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = -matrix._reduce_rows(traced_add, -x, matrix._Right(-y, n), np.full((n, n), np.nan))
+        got = np.full((n, n), np.nan)
+        start = matrix._reduce_rows(traced_add, -x, matrix._Right(-y, n), got)
+        got = -got
         want = _reference_reduce_rows(np.minimum, np.add, x, y)
         assert got.tobytes() == want.tobytes()
         zeros = got == 0
         assert zeros.sum() == len(zero_rows) * len(zero_cols) + 1
-        assert full_rows == [n - last]  # the crossed groups, in full
+        assert start == last  # the crossed groups, in full
         # entry by entry, on fresh grids; the full kernel combines in place
         assert any(len(a) == 2 and a == b and out is None for a, b, out in combines)
 
-    def test_failing_group_ends_pruning(self, monkeypatch):
+    def test_failing_group_ends_pruning(self):
         # Each line holds PRUNE_K large entries among small ones, except
         # the rows of the third row group and 20 columns, which are
         # crossed: a crossed row is 0.5 but for 0.6 at t_x and 0.0 at t_y,
@@ -746,7 +717,7 @@ class TestPrunedKernel:
         # candidate term is 0.6 and the bound is 1.0. The probe passes and
         # so would the groups after the crossed one, but the crossed
         # group's misses end pruning: it and every later row are reduced
-        # in full in one call.
+        # in full, and _reduce_rows returns its start.
         rng = np.random.default_rng(11)
         n = 200
         step = CHUNK_BYTES // (8 * PRUNE_K * n)
@@ -761,20 +732,11 @@ class TestPrunedKernel:
         x[crossed, t_x], x[crossed, t_y] = 0.6, 0.0
         y[:, 150:170] = 0.5
         y[t_y, 150:170], y[t_x, 150:170] = 0.6, 0.0
-        full_calls = []
-        full = matrix._reduce_full
-
-        def spy(combine, x, y, out):
-            full_calls.append((len(x), len(out)))
-            return full(combine, x, y, out)
-
-        monkeypatch.setattr(matrix, "_reduce_full", spy)
-        right = matrix._Right(y, n)
-        got = matrix._reduce_rows(np.add, x, right, np.full((n, n), np.nan))
-        assert full_calls == [(n - crossed.start, n - crossed.start)]
+        right, got = matrix._Right(y, n), np.full((n, n), np.nan)
+        assert matrix._reduce_rows(np.add, x, right, got) == crossed.start
         assert got.tobytes() == _reference_on_right(np.add, x, right, np.empty((n, n))).tobytes()
 
-    def test_ties_at_the_bound_certified(self, monkeypatch):
+    def test_ties_at_the_bound_certified(self):
         # Each line holds PRUNE_K large entries among small ones, except
         # every third row of x and column of y, which hold 0.5. Those
         # meet in terms that all equal the bound; with no -0.0 or NaN
@@ -788,104 +750,75 @@ class TestPrunedKernel:
             y[rng.choice(n, PRUNE_K, replace=False), k] = 0.9 + rng.random(PRUNE_K) * 0.1
         x[::3] = 0.5
         y[:, ::3] = 0.5
-        combines, full_rows = [], []
+        combines = []
 
         def traced_add(a, b, out=None):
             combines.append((a.shape, b.shape))
             return np.add(a, b, out=out)
 
-        full = matrix._reduce_full
-
-        def spy(combine, x, y, out=None):
-            full_rows.append(x.shape[0])
-            return full(combine, x, y, out)
-
-        monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = matrix._reduce_rows(traced_add, x, matrix._Right(y, n), np.full((n, n), np.nan))
+        got = np.full((n, n), np.nan)
+        assert matrix._reduce_rows(traced_add, x, matrix._Right(y, n), got) == n
         assert got.tobytes() == _reference_reduce_rows(np.maximum, np.add, x, y).tobytes()
         assert (got == 1.0).sum() == ((n + 2) // 3) ** 2
-        assert full_rows == []
         assert not any(len(a) == 2 and a == b for a, b in combines)
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), ConvexCombo(0.5)])
-    def test_first_step_declines(self, monkeypatch, op):
+    def test_first_step_declines(self, kernel_log, op):
         # A random A o A fails the probe and runs the full kernel once.
         A = _random_ifm(100, 6)
-        calls = []
-        full = matrix._reduce_full
-
-        def spy(combine, x, y, out=None):
-            calls.append(x.shape[0])
-            return full(combine, x, y, out)
-
-        monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = compose(A, A, op)
-        assert calls == [100, 100]
-        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
-        assert got == compose(A, A, op)
+        with kernel_log as log:
+            got = compose(A, A, op)
+        assert log.full_rows == [100, 100]
+        assert got == _reference(compose, A, A, op)
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), GeneralizedMean(0.6, -1.0),
                                     ConvexCombo(0.5)], ids=repr)
-    def test_coarse_grid_pruned_after_first_step(self, monkeypatch, op):
+    def test_coarse_grid_pruned_after_first_step(self, kernel_log, op):
         # A 5-level grid ties most lines at their (PRUNE_K + 1)-th value.
         # The candidates hold PRUNE_K of the tied terms, which reach the
         # bound, so only the first step A o A is reduced in full.
         n = 150
         A = _late_input(n, "coarse-grid", n)
         full_steps = []
-        full = matrix._reduce_full
-
-        def spy(combine, x, y, out=None):
-            full_steps.append(m)
-            return full(combine, x, y, out)
-
         X = A
         for m in range(2, 11):
-            with monkeypatch.context() as patch:
-                patch.setattr(matrix, "_reduce_full", spy)
+            with kernel_log as log:
                 got = compose(X, A, op)
-            with monkeypatch.context() as patch:
-                patch.setattr(matrix, "_reduce_rows", _reference_on_right)
-                want = compose(X, A, op)
+            if log.full_rows:
+                full_steps.append(m)
+            want = _reference(compose, X, A, op)
             assert got.mu.tobytes() == want.mu.tobytes(), m
             assert got.nu.tobytes() == want.nu.tobytes(), m
             X = got
-        assert set(full_steps) == {2}
+        assert full_steps == [2]
 
-    def test_pruned_compose_memory_bounded(self, monkeypatch):
+    def test_pruned_compose_memory_bounded(self, kernel_log):
         # Pruning must not raise the peak above that of the kernel that
         # reduces over all t, at the size of the benchmark's power fold.
         n = 300
         A = _late_input(n, "constant-columns", 3)
         op = GeneralizedMean(0.6, 1.0)
         X = power(A, 12, op)
-        full_rows = []
-        full = matrix._reduce_full
 
-        def spy(combine, x, y, out=None):
-            full_rows.append(x.shape[0])
-            return full(combine, x, y, out)
-
-        def peak():
+        def peak(fn, *args):
             tracemalloc.start()
             try:
-                compose(X, A, op)
+                fn(*args)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(matrix, "_reduce_full", spy)
-        pruned = peak()
-        assert full_rows == []
-        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
-        assert pruned <= peak()
+        with kernel_log as log:
+            pruned = peak(compose, X, A, op)
+        assert log.full_rows == []
+        assert pruned <= peak(_reference, compose, X, A, op)
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), ConvexCombo(0.5)], ids=repr)
-    def test_declining_compose_frees_its_candidates(self, monkeypatch, op):
+    def test_declining_compose_frees_its_candidates(self, op):
         # A first step A o A at n = 300 declines in its first group, after
         # both stages. No candidate grid may stay alive beside the full
         # kernel's chunks: the peak stays within one grid of the full
-        # kernel's own.
+        # kernel's own, taken on the same sides without their partitions.
         n = 300
         A = _late_input(n, "plain", 3)
         right = matrix._prepare(A, op, n)
@@ -900,10 +833,11 @@ class TestPrunedKernel:
                 tracemalloc.stop()
 
         pruned = peak()
-        monkeypatch.setattr(matrix, "_reduce_rows", matrix._reduce_full)
+        for side in right:
+            side.top = None
         assert pruned < peak() + grid_bytes
 
-    def test_fortran_ordered_factor_bit_identical(self, monkeypatch):
+    def test_fortran_ordered_factor_bit_identical(self, kernel_log):
         # A Fortran-ordered right factor is pruned like a C-ordered one
         # and keeps the full reduce's bits.
         rng = np.random.default_rng(1)
@@ -919,49 +853,30 @@ class TestPrunedKernel:
         A = Ifm(np.asfortranarray(u), np.asfortranarray(v))
         op = ConvexCombo(0.5)
         assert A.mu.flags.f_contiguous and not A.mu.flags.c_contiguous
-        with monkeypatch.context() as m:
-            m.setattr(matrix, "_reduce_rows", _reference_on_right)
-            X = power(A, 10, op)
-            want = compose(X, A, op)
-        full_calls = []
-        full = matrix._reduce_full
-
-        def spy(combine, x, y, out=None):
-            # nu's terms are negated, so each carries the sign bit.
-            full_calls.append(("nu" if np.signbit(x).all() else "mu", x.shape[0]))
-            return full(combine, x, y, out)
-
-        monkeypatch.setattr(matrix, "_reduce_full", spy)
-        got = compose(X, A, op)
+        X = _reference(power, A, 10, op)
+        want = _reference(compose, X, A, op)
+        with kernel_log as log:
+            got = compose(X, A, op)
         # Both components are pruned. nu's rows and many columns of A.nu
         # hold more than PRUNE_K zeros, so the bound is 0, and candidate
         # lists made of those tied zeros reach it.
-        assert full_calls == []
+        assert log.full_rows == []
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 1.0), GeneralizedMean(0.6, -1.0),
                                     ConvexCombo(0.5)], ids=repr)
-    def test_late_step_pruned_at_n_300(self, monkeypatch, op):
+    def test_late_step_pruned_at_n_300(self, kernel_log, op):
         # Reductions of every length from PRUNE_MIN_T up are pruned; at
         # n = 300 a late step proves enough entries that no row group is
         # reduced in full, and keeps the full reduce's bits.
         n = 300
         A = _late_input(n, "constant-columns", n)
         X = power(A, 10, op)
-        full_rows = []
-        full = matrix._reduce_full
-
-        def spy(combine, x, y, out=None):
-            full_rows.append(x.shape[0])
-            return full(combine, x, y, out)
-
-        with monkeypatch.context() as m:
-            m.setattr(matrix, "_reduce_full", spy)
+        with kernel_log as log:
             got = compose(X, A, op)
-        assert full_rows == []
-        monkeypatch.setattr(matrix, "_reduce_rows", _reference_on_right)
-        want = compose(X, A, op)
+        assert log.full_rows == []
+        want = _reference(compose, X, A, op)
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.nu.tobytes() == want.nu.tobytes()
 
@@ -985,10 +900,10 @@ def _kernel_terms(kind, r, t, c, seed):
 
 
 class TestChunkedKernel:
-    """_reduce_full reduces chunks of rows laid out as contiguous
-    (t, rows * c) buffers; every output bit must match the old-layout
-    reference, which broadcasts (rows, t, c) blocks. A min reduce runs
-    as the max of the negated terms, negated back."""
+    """_reduce_rows' full reduce takes chunks of rows laid out as
+    contiguous (t, rows * c) buffers; every output bit must match the
+    old-layout reference, which broadcasts (rows, t, c) blocks. A min
+    reduce runs as the max of the negated terms, negated back."""
 
     @pytest.mark.parametrize("shapes", [
         [*((1, n, n) for n in range(1, 6)), *((n, n, n) for n in range(1, 6)), (1, 100, 100)],
@@ -1003,41 +918,38 @@ class TestChunkedKernel:
                     right = matrix._Right(sign * y, r)
                     # Every case with several chunks ends in a partial one.
                     assert right.rows == r or r % right.rows
-                    got = sign * matrix._reduce_full(combine, sign * x, right,
-                                                     np.full((r, c), np.nan))
+                    # Without a partition every row is reduced in full.
+                    right.top, got = None, np.full((r, c), np.nan)
+                    assert matrix._reduce_rows(combine, sign * x, right, got) == 0
+                    got *= sign
                     want = _reference_reduce_rows(reduce, reference[reduce], x, y)
                     assert got.tobytes() == want.tobytes(), (r, t, c, reduce, kind)
 
     @pytest.mark.parametrize("op", [GeneralizedMean(0.6, 2.0), ConvexCombo(0.5)])
-    def test_fold_prepares_right_factor_once(self, monkeypatch, op):
+    def test_fold_prepares_right_factor_once(self, monkeypatch, kernel_log, op):
         # _Right builds a component's terms, tile and partition. The left
         # factor's row groups have 81 and 19 rows, so only the right
         # factor is partitioned as an (n, n) array.
         n = 100
         A = _late_input(n, "constant-columns", 4)
-        prepared, partitions = [], []
-        right, top = matrix._Right, matrix._top
+        prepared = []
+        right = matrix._Right
 
         # nu's terms are negated, so each carries the sign bit.
         def right_spy(y, r):
             prepared.append(np.signbit(y).all())
             return right(y, r)
 
-        def top_spy(v):
-            if v.shape == (n, n):
-                partitions.append(np.signbit(v).all())
-            return top(v)
-
         monkeypatch.setattr(matrix, "_Right", right_spy)
-        monkeypatch.setattr(matrix, "_top", top_spy)
-        power(A, 10, op)
+        with kernel_log as log:
+            power(A, 10, op)
         assert prepared == [False, True]  # mu, then nu
-        assert partitions == [False, True]
+        assert [neg for shape, neg in log.tops if shape == (n, n)] == [False, True]
         prepared.clear()
-        partitions.clear()
-        assert power_sequence(A, op, max_iter=9).iterations == 9
+        with kernel_log as log:
+            assert power_sequence(A, op, max_iter=9).iterations == 9
         assert prepared == [False, True]
-        assert partitions == [False, True]
+        assert [neg for shape, neg in log.tops if shape == (n, n)] == [False, True]
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
     def test_star_subnormal_inputs_bit_identical(self, lam):

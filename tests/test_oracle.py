@@ -287,7 +287,7 @@ def test_one_row_chunks_match_oracle_on_edge_inputs(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, matrix.CHUNK_BYTES], ids=["one-byte", "default"])
-def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, chunk_bytes):
+def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, kernel_log, chunk_bytes):
     # The oracle reaches n <= 5 only, far below PRUNE_MIN_T. With the
     # activation constants lowered, compose prunes at these sizes too.
     # A one-byte budget holds no one-by-one re-reduce grid, so a row
@@ -297,26 +297,14 @@ def test_pruned_kernel_matches_oracle_on_edge_inputs(monkeypatch, chunk_bytes):
     monkeypatch.setattr(matrix, "PRUNE_K", 1)
     monkeypatch.setattr(matrix, "PRUNE_MIN_T", 2)
     monkeypatch.setattr(matrix, "CHUNK_BYTES", chunk_bytes)
-    pruned, declined = [], []
-    top, full = matrix._top, matrix._reduce_full
-
-    def spy(v):
-        pruned.append(v.shape)
-        return top(v)
-
-    # At t >= PRUNE_MIN_T every full reduce is a declined group.
-    def full_spy(combine, x, right, out):
-        declined.append(len(x))
-        return full(combine, x, right, out)
-
-    monkeypatch.setattr(matrix, "_top", spy)
-    monkeypatch.setattr(matrix, "_reduce_full", full_spy)
     rng = random.Random(56)
     budget = OracleBudget(max_n=5, max_m=5)
-    for _ in range(300):
-        n = rng.randint(2, 5)
-        m = rng.randint(2, 5)
-        A, op = _edge_case(rng, n)
-        assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
-    assert len(pruned) > 300
-    assert declined if chunk_bytes == 1 else not declined
+    with kernel_log as log:
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            m = rng.randint(2, 5)
+            A, op = _edge_case(rng, n)
+            assert delta(power(A, m, op), brute_force_power(A, m, op, budget)) <= 1e-12, (A, m, op)
+    assert len(log.tops) > 300
+    # At t >= PRUNE_MIN_T every full reduce is a declined group.
+    assert log.full_rows if chunk_bytes == 1 else not log.full_rows
