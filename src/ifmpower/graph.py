@@ -16,7 +16,7 @@ from typing import FrozenSet, Tuple
 import numpy as np
 
 from .errors import BadPathError, DimensionMismatchError
-from .ifn import ComponentPair, gen_mean_fold, star_fold
+from .ifn import ComponentPair
 from .matrix import ConvexCombo, GeneralizedMean
 
 
@@ -97,12 +97,12 @@ def path_weight_gen(A, path, lam, p):
     """Weight of a walk under the power-mean operator.
 
     Computed two ways: the closed form with geometric coefficients
-    lam^(k-1), lam^(k-2)(1-lam), ..., (1-lam), and the left-fold of the
-    pairwise mean. The two are algebraically identical; they must agree
-    to 1e-12 or the call fails. (lam, p) is checked as for
-    GeneralizedMean before any fold.
+    lam^(k-1), lam^(k-2)(1-lam), ..., (1-lam), and the left fold of
+    GeneralizedMean(lam, p).fold(), built, and so checked, first. The
+    two are algebraically identical; they must agree to 1e-12 or the
+    call fails.
     """
-    GeneralizedMean(lam, p)
+    fold = GeneralizedMean(lam, p).fold()
     mus, nus = _edge_values(A, path)
     k = len(mus)
     coeffs = [lam ** (k - 1)] + [
@@ -113,7 +113,7 @@ def path_weight_gen(A, path, lam, p):
         _closed_form_component(mus, coeffs, p),
         _closed_form_component(nus, coeffs, p),
     )
-    folded = _left_fold(A, path, mus, nus, gen_mean_fold(lam, p))
+    folded = _left_fold(A, path, mus, nus, fold)
     if max(abs(closed.mu - folded.mu), abs(closed.nu - folded.nu)) > 1e-12:
         raise ArithmeticError(
             f"closed form {closed} and fold {folded} disagree on {path}"
@@ -122,11 +122,10 @@ def path_weight_gen(A, path, lam, p):
 
 
 def path_weight_star(A, path, lam):
-    """Weight of a walk under the convex-combination operator
-    (left-fold of the pairwise star); lam is checked as for
-    ConvexCombo."""
-    ConvexCombo(lam)
-    return _left_fold(A, path, *_edge_values(A, path), star_fold(lam))
+    """Weight of a walk under the convex-combination operator: the left
+    fold of ConvexCombo(lam).fold(), built, and so checked, first."""
+    fold = ConvexCombo(lam).fold()
+    return _left_fold(A, path, *_edge_values(A, path), fold)
 
 
 def critical_structure(A):

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ZeroPError
-from .ifn import ComponentPair, Ifn
+from .ifn import ComponentPair, Ifn, gen_mean_fold, star_fold
 
 # Threshold above which mu + nu > 1 counts as a real closure violation
 # rather than float drift.
@@ -36,10 +36,17 @@ PRUNE_MIN_T = 8 * PRUNE_K
 
 @dataclass(frozen=True)
 class GeneralizedMean:
-    """Max/min composition via the weighted power mean with weight lam."""
+    """Max/min composition via the weighted power mean with weight lam.
+
+    Each operator class carries its family's rules: s_exponent, terms
+    and combine for compose, bound, oscillates, and fold, the scalar
+    fold in ifmpower.ifn that the oracle and path weights left-fold.
+    """
 
     lam: float
     p: float
+    combine = np.add
+    oscillates = False
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and math.isfinite(self.p)):
@@ -55,12 +62,52 @@ class GeneralizedMean:
         if not math.isfinite(1.0 / self.p):
             raise DomainError(f"1/p must be finite, got p={self.p}")
 
+    @property
+    def s_exponent(self):
+        """The p of the s domain, or 1 where lam in {0, 1} keeps one
+        argument for every p: 1 * x + 0 * y is x exactly, and no weight of
+        0 meets the inf that a zero gives at p < 0 (0 * inf is NaN)."""
+        return self.p if 0.0 < self.lam < 1.0 else 1.0
+
+    def terms(self, pairs, weight):
+        """pairs' planes as compose max-reduces them: weight * x^p, the
+        weight signed as p, and nu's negated (see compose)."""
+        p = self.s_exponent
+        with np.errstate(divide="ignore", over="ignore"):
+            s = pairs ** p
+            s *= math.copysign(weight, p)
+        return s[0], np.negative(s[1], out=s[1])
+
+    def bound(self, m):
+        """step_bound: None where lam = 1 or p < 0. For p > 0 put
+        y = x^p: a fold step is then a max-plus (min-plus for nu) update
+        of the previous power scaled by lam, nonexpansive in the sup
+        norm, so the y-domain step difference is at most lam^(m-2) (at
+        most 1 at m = 2). Mapped back through y -> y^(1/p) on [0, 1]:
+
+        - p >= 1: the map is (1/p)-Hoelder with constant 1, giving the
+          published bound lam^((m-2)/p);
+        - 0 < p < 1: the map is Lipschitz with constant 1/p, giving
+          (1/p) * lam^(m-2). The published lam^((m-2)/p) holds for p >= 1
+          only; below 1 it is smaller than real step differences.
+        """
+        if self.lam == 1.0 or self.p < 0:
+            return None
+        if self.p < 1:
+            return self.lam ** (m - 2) / self.p
+        return self.lam ** ((m - 2) / self.p)
+
+    def fold(self):
+        return gen_mean_fold(self.lam, self.p)
+
 
 @dataclass(frozen=True)
 class ConvexCombo:
-    """Convex combination of max-min and arithmetic-mean composition."""
+    """Convex combination of max-min and arithmetic-mean composition;
+    it carries what GeneralizedMean does, and its star works on x."""
 
     lam: float
+    s_exponent = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
@@ -72,8 +119,33 @@ class ConvexCombo:
     def alpha(self):
         return (1.0 + self.lam) / 2.0
 
+    @property
+    def oscillates(self):
+        return self.lam == 1.0
 
-Operator = Union[GeneralizedMean, ConvexCombo]
+    def terms(self, pairs, weight):
+        """mu and negated nu: the star weighs its arguments itself."""
+        return pairs[0], -pairs[1]
+
+    def combine(self, x, y, out=None):
+        """lam * min(x, y) + (1 - lam) * (x + y) / 2, in place where out
+        is given (x or y may be out), by that expression's operations
+        (add, scale by 1 - lam, halve; min, scale by lam; add): halving
+        1 - lam first could round subnormal inputs differently."""
+        mean = np.add(x, y)
+        mean *= 1.0 - self.lam
+        mean /= 2.0
+        out = np.minimum(x, y, out=out)
+        out *= self.lam
+        out += mean
+        return out
+
+    def bound(self, m):
+        """The star contracts by alpha per step; max-min does not."""
+        return None if self.lam == 1.0 else self.alpha ** (m - 2)
+
+    def fold(self):
+        return star_fold(self.lam)
 
 
 def arith_mean():
@@ -321,51 +393,9 @@ def _reduce_rows(combine, x, right, out):
     return start
 
 
-def _star(lam):
-    """ConvexCombo's combine, lam * min(x, y) + (1 - lam) * (x + y) / 2,
-    in place where out is given (x or y may be out). It keeps the operations
-    of that expression (add, scale by 1 - lam, halve; min, scale by
-    lam; add), so its bits hold on subnormal inputs too, where halving
-    (1 - lam) first could round differently."""
-
-    def combine(x, y, out=None):
-        mean = np.add(x, y)
-        mean *= 1.0 - lam
-        mean /= 2.0
-        out = np.minimum(x, y, out=out)
-        out *= lam
-        out += mean
-        return out
-
-    return combine
-
-
-def _s_exponent(op):
-    """The p of GeneralizedMean's s domain, and 1 for ConvexCombo, which
-    works on x. With lam in {0, 1} the mean keeps one argument for
-    every p, and p = 1 computes it exactly: 1 * x + 0 * y is x, x ** 1.0
-    is x, and no weight of 0 meets the inf that a zero gives for p < 0
-    (0 * inf is NaN)."""
-    return op.p if isinstance(op, GeneralizedMean) and 0.0 < op.lam < 1.0 else 1.0
-
-
-def _terms(M, op, weight):
-    """M's components as compose max-reduces them: x for ConvexCombo,
-    and weight * x^p, the weight signed as p, in GeneralizedMean's s
-    domain. nu's terms are negated, which leaves the component that
-    reduces by min (nu, or mu at p < 0) on negated terms."""
-    if isinstance(op, ConvexCombo):
-        return M.mu, -M.nu
-    p = _s_exponent(op)
-    with np.errstate(divide="ignore", over="ignore"):
-        s = M.pairs ** p
-        s *= math.copysign(weight, p)
-    return s[0], np.negative(s[1], out=s[1])
-
-
 def _prepare(B, op, r):
     """B's side of X o B under op for X with r rows: a _Right per plane."""
-    return tuple(_Right(y, r) for y in _terms(B, op, 1.0 - op.lam))
+    return tuple(_Right(y, r) for y in op.terms(B.pairs, 1.0 - op.lam))
 
 
 def compose(A, B, op, *, _right=None):
@@ -377,8 +407,7 @@ def compose(A, B, op, *, _right=None):
     increasing for p > 0 and decreasing for p < 0 (zeros map to +inf
     and come back as 0), so reducing s first picks the same element as
     reducing the means, and the final power gives the same bits. With
-    lam in {0, 1} the mean keeps one argument, and the s domain is taken
-    at p = 1 (see _s_exponent).
+    lam in {0, 1} the s domain is taken at p = 1 (see s_exponent).
 
     The kernel reduces by max only: the component that reduces by min
     (nu, or mu for GeneralizedMean with p < 0) runs on negated terms on
@@ -403,14 +432,13 @@ def compose(A, B, op, *, _right=None):
             f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}"
         )
     right = _prepare(B, op, A.rows) if _right is None else _right
-    combine = np.add if isinstance(op, GeneralizedMean) else _star(op.lam)
     pairs = np.empty((2, A.rows, B.cols))
-    for out, x, side in zip(pairs, _terms(A, op, op.lam), right):
-        _reduce_rows(combine, x, side, out)
+    for out, x, side in zip(pairs, op.terms(A.pairs, op.lam), right):
+        _reduce_rows(op.combine, x, side, out)
     # Every mean and star is >= 0, so abs negates back the plane that
     # reduced by min on negated terms (see above), and only it.
     np.abs(pairs, out=pairs)
-    p = _s_exponent(op)
+    p = op.s_exponent
     if p != 1.0:
         pairs **= 1.0 / p
     # Guard against float spill just outside [0, 1]. No term is NaN, so
@@ -457,32 +485,9 @@ def is_universal(M, tol):
 
 
 def step_bound(op, m):
-    """Theoretical Cauchy bound on delta(A^m, A^(m-1)), or None when
-    the contraction argument does not apply (lam = 1, or p < 0).
-
-    For GeneralizedMean with p > 0, put y = x^p. In that domain one
-    fold step is a max-plus (min-plus for nu) update of the previous
-    power scaled by lam, which is nonexpansive in the sup norm, so the
-    y-domain step difference is at most lam^(m-2) (it is at most 1 at
-    m = 2). Mapping back through y -> y^(1/p) on [0, 1]:
-
-    - p >= 1: the map is (1/p)-Hoelder with constant 1, giving the
-      published bound lam^((m-2)/p);
-    - 0 < p < 1: the map is Lipschitz with constant 1/p, giving
-      (1/p) * lam^(m-2). The published lam^((m-2)/p) holds for p >= 1
-      only; below 1 it is smaller than real step differences.
-
-    ConvexCombo contracts by alpha = (1 + lam)/2 per step.
-    """
-    if isinstance(op, GeneralizedMean):
-        if op.lam == 1.0 or op.p < 0:
-            return None
-        if op.p < 1:
-            return op.lam ** (m - 2) / op.p
-        return op.lam ** ((m - 2) / op.p)
-    if op.lam == 1.0:
-        return None
-    return op.alpha ** (m - 2)
+    """op's theoretical Cauchy bound on delta(A^m, A^(m-1)), or None
+    where no contraction argument applies (lam = 1, or p < 0)."""
+    return op.bound(m)
 
 
 @dataclass
@@ -516,18 +521,16 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
 
     deltas[i] is delta(A^(i+2), A^(i+1)); bound_trace carries the
     matching theoretical bound (None where no guarantee holds).
-    ConvexCombo(1.0) does not contract, so exact repeats are detected
-    instead and reported as an oscillation period: a power whose hash
-    matches that of an earlier A^k is a repeat once A^k, folded again,
-    equals it bit for bit. Every earlier k with that hash is tried, so
-    a collision cannot hide a repeat. GeneralizedMean with lam in
-    {0, 1} has A^3 = A^2, so it stops at delta = 0 before any repeat
-    could be seen, and is not hashed.
+    An operator that oscillates, ConvexCombo(1.0) alone, does not
+    contract, so exact repeats are detected instead and reported as an
+    oscillation period: a power whose hash matches that of an earlier
+    A^k is a repeat once A^k, folded again, equals it bit for bit. Every
+    earlier k with that hash is tried, so a collision cannot hide a
+    repeat. GeneralizedMean with lam in {0, 1} has A^3 = A^2 and stops
+    at delta = 0 unhashed.
     """
     _check_sequence(A, eps, max_iter)
-
-    detect_cycles = isinstance(op, ConvexCombo) and op.lam == 1.0
-    seen = {hash(A): [1]} if detect_cycles else None
+    seen = {hash(A): [1]} if op.oscillates else None
 
     report = ConvergenceReport(limit=A, iterations=0, converged=False)
     report.sum_violations = A.sum_violations()
@@ -544,7 +547,7 @@ def power_sequence(A, op, eps=1e-12, max_iter=100000):
         if d <= eps:
             report.converged = True
             return report
-        if detect_cycles:
+        if seen is not None:
             ks = seen.setdefault(hash(cur), [])
             for k in ks:
                 if power(A, k, op) == cur:

@@ -2,10 +2,10 @@
 
 Enumerates every walk between each vertex pair and takes the max of the
 membership weights and the min of the non-membership weights. Walk
-weights are left folds of the operator's float fold from ifmpower.ifn
-(gen_mean_fold or star_fold, which graph's path weights fold too), so
-the oracle shares no code with the matrix engine's composition loop or
-with the closed-form weight formula. The enumeration runs depth first
+weights are left folds of the operator's fold, its scalar float fold
+from ifmpower.ifn (which graph's path weights fold too), so the oracle
+shares no code with the matrix engine's composition loop or with the
+closed-form weight formula. The enumeration runs depth first
 over walk prefixes, so a prefix shared by many walks is folded once;
 each walk still gets exactly the folds, in the same order, that folding
 it on its own would give. Weights are carried as plain floats, and the
@@ -21,7 +21,6 @@ from typing import List
 import numpy as np
 
 from .errors import BudgetExceededError, MismatchFoundError
-from .ifn import gen_mean_fold, star_fold
 from .matrix import ConvexCombo, GeneralizedMean, Ifm, delta, power
 
 ENUMERATION_CAP = 10**7
@@ -75,8 +74,7 @@ def brute_force_power(A, m, op, budget=OracleBudget()):
     _check_budget(n, m, budget)
     entries = [list(zip(row_mu, row_nu))
                for row_mu, row_nu in zip(A.mu.tolist(), A.nu.tolist())]
-    fold = (gen_mean_fold(op.lam, op.p) if isinstance(op, GeneralizedMean)
-            else star_fold(op.lam))
+    fold = op.fold()
 
     def extend(wm, wn, v, d):
         # <wm, wn> is the left fold of a d-edge walk from the current

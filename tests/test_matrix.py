@@ -891,8 +891,8 @@ def _kernel_terms(kind, r, t, c, seed):
     x[rng.random((r, t)) < 0.1] = 0.0
     y[rng.random((t, c)) < 0.1] = 0.0
     if kind == "star":
-        return x, y, matrix._star(0.3), {np.maximum: _star_reference(0.3, np.minimum),
-                                         np.minimum: _star_reference(0.3, np.maximum)}
+        return x, y, ConvexCombo(0.3).combine, {np.maximum: _star_reference(0.3, np.minimum),
+                                                np.minimum: _star_reference(0.3, np.maximum)}
     if kind == "negative-p":
         with np.errstate(divide="ignore"):
             x, y = 0.6 * x**-1.5, 0.4 * y**-1.5
@@ -1049,6 +1049,27 @@ def test_collapsed_gen_mean_stops_at_delta_zero_unhashed(monkeypatch, lam, p):
         assert rep.iterations == (1 if A2 == A else 2)
         assert rep.deltas == [delta(A2, A), 0.0][:rep.iterations]
         assert rep.limit == A2
+
+
+def test_only_max_min_hashes_powers(monkeypatch):
+    # Of the bit-identity corpus's operators (OPS in test_bit_identity),
+    # only ConvexCombo(1.0) need not contract, and only it hashes powers
+    # to find a period; the others stop at eps or max_iter unhashed.
+    def no_hash(M):
+        raise AssertionError("a power was hashed")
+
+    flip = Ifm.from_pairs([[(0, 1), (1, 0)], [(1, 0), (0, 1)]])
+    inputs = [flip, *(_random_ifm(6, seed) for seed in range(3))]
+    ops = [GeneralizedMean(lam, p) for lam in (0.0, 0.3, 0.6, 1.0) for p in (-1.0, 0.5, 1.0, 2.0)]
+    ops += [ConvexCombo(lam) for lam in (0.0, 0.3, 0.5)]
+    with monkeypatch.context() as m:
+        m.setattr(Ifm, "__hash__", no_hash)
+        for op in ops:
+            for A in inputs:
+                power_sequence(A, op, max_iter=200)
+        with pytest.raises(AssertionError, match="hashed"):
+            power_sequence(flip, ConvexCombo(1.0))
+    assert power_sequence(flip, ConvexCombo(1.0)).oscillation_period == 2
 
 
 def _one_argument_mean(A, B, op):

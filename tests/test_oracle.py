@@ -229,7 +229,7 @@ def test_prefix_enumeration_matches_per_walk_bits():
 @pytest.mark.parametrize("n, m", [(4, 4), (3, 5), (4, 1), (1, 5), (2, 2)])
 def test_each_prefix_is_folded_once(monkeypatch, n, m):
     calls = []
-    make_fold = oracle.gen_mean_fold
+    make_fold = matrix.gen_mean_fold
 
     def counted_fold(lam, p):
         fold = make_fold(lam, p)
@@ -239,7 +239,7 @@ def test_each_prefix_is_folded_once(monkeypatch, n, m):
             return fold(*args)
         return counted
 
-    monkeypatch.setattr(oracle, "gen_mean_fold", counted_fold)
+    monkeypatch.setattr(matrix, "gen_mean_fold", counted_fold)
     brute_force_power(random_ifm(random.Random(n * m), n), m, GeneralizedMean(0.5, 2.0))
     # One fold per walk prefix of 2..m edges (1,344 at n = m = 4);
     # per-walk folding would make n^(m+1) * (m - 1), which is 3,072.
