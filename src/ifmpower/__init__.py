@@ -30,11 +30,8 @@ from .ifn import (
     ComponentPair,
     Ifn,
     dominance_leq,
-    gen_mean_pair,
-    gen_mean_scalar,
     ifn_diff,
     scalar_mult,
-    star_scalar,
 )
 from .matrix import (
     ConvergenceReport,
@@ -45,12 +42,15 @@ from .matrix import (
     compose,
     convex_mean,
     delta,
+    gen_mean_pair,
+    gen_mean_scalar,
     harmonic,
     is_universal,
     power,
     power_sequence,
     root_power,
     row_uniformity,
+    star_scalar,
     step_bound,
 )
 from .oracle import (

@@ -19,6 +19,7 @@ import decimal
 import fractions
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -49,6 +50,8 @@ EXIT_INPUT = 2
 EXIT_MATH = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_MISMATCH = 5
+# Largest matrix file read: a parse takes up to 15x the file size in RSS.
+MAX_INPUT_BYTES = 128 * 2**20
 
 
 def parse_matrix(text):
@@ -136,6 +139,8 @@ def format_matrix(M, display=None):
 
 def _load_matrix(path):
     with open(path, encoding="utf-8") as fh:
+        if os.fstat(fh.fileno()).st_size > MAX_INPUT_BYTES:
+            raise ParseError(f"input file exceeds the {MAX_INPUT_BYTES}-byte limit")
         return parse_matrix(fh.read())
 
 

@@ -78,9 +78,9 @@ def _left_fold(A, path, mus, nus, fold):
 
 
 def _closed_form_component(values, coeffs, p):
-    """(sum of c * a^p) ^ (1/p) over the terms of nonzero weight c, with
-    gen_mean_scalar's conventions: equal values give that value, and for
-    p < 0 a zero value or an overflow gives 0."""
+    """(sum of c * a^p) ^ (1/p) over the terms of nonzero weight c, apart
+    from GeneralizedMean.mean but with its conventions: equal values give
+    that value, and for p < 0 a zero value or an overflow gives 0."""
     terms = [(a, c) for a, c in zip(values, coeffs) if c != 0.0]
     if len({a for a, _ in terms}) == 1:
         return terms[0][0]

@@ -1,17 +1,17 @@
 """Scalar algebra of intuitionistic fuzzy numbers (IFNs).
 
 An IFN is a pair <mu, nu> of membership and non-membership degrees with
-mu + nu <= 1. Differences and power means with p > 1 can leave that set,
-so a relaxed ComponentPair (each component in [0, 1], no sum constraint)
-carries such results. All operations are pure functions over immutable
-values.
+mu + nu <= 1. Differences, and the operators' power means with p > 1
+(ifmpower.matrix), can leave that set, so a relaxed ComponentPair (each
+component in [0, 1], no sum constraint) carries such results. All
+operations are pure functions over immutable values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDominatedError, OutOfRangeError, SumViolationError, ZeroPError
+from .errors import NotDominatedError, OutOfRangeError, SumViolationError
 
 SUM_TOL = 1e-12
 
@@ -53,65 +53,6 @@ def dominance_leq(a, b):
     This is a partial order; incomparable pairs are False both ways.
     """
     return a.mu <= b.mu and a.nu >= b.nu
-
-
-def gen_mean_scalar(x, y, lam, p):
-    """Weighted power mean (lam*x^p + (1-lam)*y^p)^(1/p) on [0, 1].
-
-    lam = 1 or 0 collapses to the corresponding argument. For p < 0 a
-    zero argument forces the result to 0 (the limit convention that
-    makes the harmonic case total on [0, 1]).
-    """
-    if p == 0:
-        raise ZeroPError("p must be nonzero")
-    if lam == 1.0:
-        return x
-    if lam == 0.0:
-        return y
-    if x == y:
-        return x
-    if p < 0 and (x == 0.0 or y == 0.0):
-        return 0.0
-    try:
-        s = lam * x**p + (1.0 - lam) * y**p
-    except OverflowError:
-        # x**p for denormal x and p < 0; the mean underflows to 0
-        return 0.0
-    return s ** (1.0 / p)
-
-
-def gen_mean_fold(lam, p):
-    """The GeneralizedMean(lam, p) fold on plain floats: (w_mu, w_nu,
-    e_mu, e_nu) to the folded (mu, nu), range-checked as a ComponentPair
-    is. A walk's weight is the left fold of its edges."""
-    def fold(wm, wn, em, en):
-        mu = gen_mean_scalar(wm, em, lam, p)
-        nu = gen_mean_scalar(wn, en, lam, p)
-        check_components(mu, nu)
-        return mu, nu
-    return fold
-
-
-def star_fold(lam):
-    """The ConvexCombo(lam) fold, as gen_mean_fold: min (mu) or max (nu)
-    blended with the arithmetic mean by weight lam."""
-    def fold(wm, wn, em, en):
-        mu = lam * min(wm, em) + (1.0 - lam) * (wm + em) / 2.0
-        nu = lam * max(wn, en) + (1.0 - lam) * (wn + en) / 2.0
-        check_components(mu, nu)
-        return mu, nu
-    return fold
-
-
-def gen_mean_pair(a, b, lam, p):
-    """Componentwise weighted power mean of two pairs."""
-    return ComponentPair(*gen_mean_fold(lam, p)(a.mu, a.nu, b.mu, b.nu))
-
-
-def star_scalar(a, b, lam):
-    """Convex combination of max-min and arithmetic mean, per component
-    (star_fold on two pairs)."""
-    return ComponentPair(*star_fold(lam)(a.mu, a.nu, b.mu, b.nu))
 
 
 def scalar_mult(lam, a):

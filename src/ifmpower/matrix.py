@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ZeroPError
-from .ifn import ComponentPair, Ifn, gen_mean_fold, star_fold
+from .ifn import ComponentPair, Ifn, check_components
 
 # Threshold above which mu + nu > 1 counts as a real closure violation
 # rather than float drift.
@@ -39,8 +39,8 @@ class GeneralizedMean:
     """Max/min composition via the weighted power mean with weight lam.
 
     Each operator class carries its family's rules: s_exponent, terms
-    and combine for compose, bound, oscillates, and fold, the scalar
-    fold in ifmpower.ifn that the oracle and path weights left-fold.
+    and combine for compose, bound, oscillates, and its scalar mean
+    and fold, which the oracle and path weights left-fold.
     """
 
     lam: float
@@ -97,14 +97,46 @@ class GeneralizedMean:
             return self.lam ** (m - 2) / self.p
         return self.lam ** ((m - 2) / self.p)
 
+    def mean(self, x, y):
+        """Weighted power mean (lam*x^p + (1-lam)*y^p)^(1/p) on [0, 1].
+
+        lam = 1 or 0 collapses to the corresponding argument. For p < 0 a
+        zero argument forces the result to 0 (the limit convention that
+        makes the harmonic case total on [0, 1]).
+        """
+        lam, p = self.lam, self.p
+        if lam == 1.0:
+            return x
+        if lam == 0.0:
+            return y
+        if x == y:
+            return x
+        if p < 0 and (x == 0.0 or y == 0.0):
+            return 0.0
+        try:
+            s = lam * x**p + (1.0 - lam) * y**p
+        except OverflowError:
+            # x**p for denormal x and p < 0; the mean underflows to 0
+            return 0.0
+        return s ** (1.0 / p)
+
     def fold(self):
-        return gen_mean_fold(self.lam, self.p)
+        """(w_mu, w_nu, e_mu, e_nu) to the folded (mu, nu) on floats,
+        range-checked as a ComponentPair is; walks left-fold it."""
+        mean = self.mean
+
+        def fold(wm, wn, em, en):
+            mu = mean(wm, em)
+            nu = mean(wn, en)
+            check_components(mu, nu)
+            return mu, nu
+        return fold
 
 
 @dataclass(frozen=True)
 class ConvexCombo:
     """Convex combination of max-min and arithmetic-mean composition;
-    it carries what GeneralizedMean does, and its star works on x."""
+    it carries GeneralizedMean's rules but mean; its star works on x."""
 
     lam: float
     s_exponent = 1.0
@@ -145,7 +177,30 @@ class ConvexCombo:
         return None if self.lam == 1.0 else self.alpha ** (m - 2)
 
     def fold(self):
-        return star_fold(self.lam)
+        """As GeneralizedMean.fold, by the star on floats (see combine)."""
+        lam = self.lam
+
+        def fold(wm, wn, em, en):
+            mu = lam * min(wm, em) + (1.0 - lam) * (wm + em) / 2.0
+            nu = lam * max(wn, en) + (1.0 - lam) * (wn + en) / 2.0
+            check_components(mu, nu)
+            return mu, nu
+        return fold
+
+
+def gen_mean_scalar(x, y, lam, p):
+    """GeneralizedMean(lam, p).mean(x, y), with the operator's checks."""
+    return GeneralizedMean(lam, p).mean(x, y)
+
+
+def gen_mean_pair(a, b, lam, p):
+    """Componentwise weighted power mean of two pairs."""
+    return ComponentPair(*GeneralizedMean(lam, p).fold()(a.mu, a.nu, b.mu, b.nu))
+
+
+def star_scalar(a, b, lam):
+    """Convex combination of max-min and arithmetic mean, per component."""
+    return ComponentPair(*ConvexCombo(lam).fold()(a.mu, a.nu, b.mu, b.nu))
 
 
 def arith_mean():

@@ -2,14 +2,13 @@
 
 Enumerates every walk between each vertex pair and takes the max of the
 membership weights and the min of the non-membership weights. Walk
-weights are left folds of the operator's fold, its scalar float fold
-from ifmpower.ifn (which graph's path weights fold too), so the oracle
-shares no code with the matrix engine's composition loop or with the
-closed-form weight formula. The enumeration runs depth first
-over walk prefixes, so a prefix shared by many walks is folded once;
-each walk still gets exactly the folds, in the same order, that folding
-it on its own would give. Weights are carried as plain floats, and the
-fold range-checks every result as a ComponentPair is checked.
+weights are left folds of the operator's scalar fold() (which graph's
+path weights fold too), so the oracle shares no code with the matrix
+engine's composition loop or with the closed-form weight formula. The
+enumeration runs depth first over walk prefixes, so a prefix shared by
+many walks is folded once; each walk still gets exactly the folds, in
+the same order, that folding it on its own would give. Weights are plain
+floats, and each fold is range-checked as a ComponentPair is.
 """
 
 from __future__ import annotations

@@ -582,6 +582,20 @@ class TestPowerCommand:
         assert captured.out == ""
         assert captured.err.startswith(("error: row 0 is ragged", "error: invalid JSON"))
 
+    def test_file_over_the_byte_cap_exits_2_unread(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "sparse.json"
+        with open(f, "wb") as fh:
+            fh.truncate(cli.MAX_INPUT_BYTES + 1)
+        monkeypatch.setattr(cli, "parse_matrix", lambda text: pytest.fail("file read past the cap"))
+        assert main(["power", "--input", str(f), "--p", "1", "--steps", "2"]) == 2
+        limit = f"error: input file exceeds the {cli.MAX_INPUT_BYTES}-byte limit\n"
+        assert capsys.readouterr().err == limit
+
+    @pytest.mark.parametrize("slack, code", [(0, 0), (-1, 2)])
+    def test_byte_cap_admits_a_file_of_its_size(self, a_file, capsys, monkeypatch, slack, code):
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", os.path.getsize(a_file) + slack)
+        assert main(["power", "--input", a_file, "--p", "1", "--steps", "2"]) == code
+
     @pytest.mark.parametrize("name", ["entries-not-a-list", "huge-int"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, name):
         f = tmp_path / "bad.json"

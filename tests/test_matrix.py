@@ -1,3 +1,5 @@
+import decimal
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,23 +11,29 @@ from ifmpower import (
     DomainError,
     GeneralizedMean,
     Ifm,
+    Ifn,
+    PathSpec,
     ZeroPError,
     arith_mean,
     compose,
     convex_mean,
     delta,
+    gen_mean_pair,
+    gen_mean_scalar,
     harmonic,
     is_universal,
+    path_weight_gen,
     power,
     power_sequence,
     root_power,
     row_uniformity,
+    star_scalar,
     step_bound,
 )
 from ifmpower import matrix
 from ifmpower.cli import parse_matrix
 from ifmpower.matrix import CHUNK_BYTES, PRUNE_K, PRUNE_MIN_T
-from ifmpower.oracle import OracleBudget, brute_force_power
+from ifmpower.oracle import OracleBudget, brute_force_power, random_ifm
 
 # 3x3 instance whose powers converge to the universal matrix at
 # lambda=0.6, p=1; every column holds an exact <1,0>.
@@ -44,6 +52,15 @@ B3 = Ifm.from_pairs([
 
 GM = GeneralizedMean(0.6, 1)
 
+# Each operator, then the scalar functions that build it and so raise
+# its errors.
+GM_MAKERS = (
+    GeneralizedMean,
+    lambda lam, p: gen_mean_scalar(0.2, 0.8, lam, p),
+    lambda lam, p: gen_mean_pair(Ifn(0.5, 0.4), Ifn(0.8, 0.1), lam, p),
+)
+STAR_MAKERS = (ConvexCombo, lambda lam: star_scalar(Ifn(0.5, 0.4), Ifn(0.8, 0.1), lam))
+
 
 def test_presets():
     assert arith_mean() == GeneralizedMean(0.5, 1.0)
@@ -54,23 +71,27 @@ def test_presets():
 
 
 def test_operator_validation():
-    with pytest.raises(ZeroPError):
-        GeneralizedMean(0.5, 0)
-    with pytest.raises(ValueError):
-        GeneralizedMean(1.5, 1)
-    with pytest.raises(ValueError):
-        ConvexCombo(-0.2)
-    with pytest.raises(ValueError) as raised:
-        ConvexCombo(1.5)
-    assert not isinstance(raised.value, DomainError)
+    for make in GM_MAKERS:
+        with pytest.raises(ZeroPError):
+            make(0.5, 0)
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]") as raised:
+            make(1.5, 1)
+        assert not isinstance(raised.value, DomainError)
+    for make in STAR_MAKERS:
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
+            make(-0.2)
+        with pytest.raises(ValueError) as raised:
+            make(1.5)
+        assert not isinstance(raised.value, DomainError)
     with pytest.raises(ValueError, match="root-power preset needs p > 0, got 0"):
         root_power(0)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
 def test_convex_combo_rejects_non_finite_lambda(lam):
-    with pytest.raises(DomainError):
-        ConvexCombo(lam)
+    for make in STAR_MAKERS:
+        with pytest.raises(DomainError):
+            make(lam)
 
 
 @pytest.mark.parametrize("lam, p", [
@@ -79,8 +100,9 @@ def test_convex_combo_rejects_non_finite_lambda(lam):
     (0.5, 1e-320), (0.5, -5e-309),
 ])
 def test_operator_rejects_non_finite_parameters(lam, p):
-    with pytest.raises(DomainError):
-        GeneralizedMean(lam, p)
+    for make in GM_MAKERS:
+        with pytest.raises(DomainError):
+            make(lam, p)
 
 
 def test_smallest_p_with_finite_reciprocal_accepted():
@@ -1110,3 +1132,72 @@ def test_one_argument_mean_is_exact(lam, p):
                 got, oracle = power(A, m, op), brute_force_power(A, m, op, OracleBudget(max_n=5))
                 assert got.mu.tobytes() == oracle.mu.tobytes(), (m, op)
                 assert got.nu.tobytes() == oracle.nu.tobytes(), (m, op)
+
+
+# Extreme p. The reference works in 60-digit decimal on the exact values
+# of its float arguments, so no x^p under- or overflows and no digits
+# cancel near p = 0 (the standard library's; CI has no mpmath).
+DECIMAL_60 = decimal.Context(prec=60)
+
+
+def _decimal_mean(x, y, lam, p):
+    """(lam*x^p + (1-lam)*y^p)^(1/p) for x, y > 0, as a Decimal."""
+    with decimal.localcontext(DECIMAL_60):
+        x, y, lam, p = (decimal.Decimal(v) for v in (x, y, lam, p))
+        return x if x == y else (lam * x**p + (1 - lam) * y**p) ** (1 / p)
+
+
+def _decimal_compose(A, B, lam, p):
+    """compose(A, B, GeneralizedMean(lam, p)) as a decimal row fold: the
+    max over t of the mu means and the min of the nu means."""
+    planes = [[[reduce(_decimal_mean(a, b, lam, p) for a, b in zip(row, col))
+                for col in Y.T.tolist()] for row in X.tolist()]
+              for X, Y, reduce in ((A.mu, B.mu, max), (A.nu, B.nu, min))]
+    return Ifm(*(np.array(plane, dtype=np.float64) for plane in planes))
+
+
+ROW = Ifm.from_pairs([[(0.5, 0.3), (0.9, 0.05)]])
+COLUMN = Ifm.from_pairs([[(0.9, 0.05)], [(0.5, 0.3)]])
+
+
+def test_decimal_reference():
+    # The reference agrees with compose where float64 is exact enough,
+    # and gives the means the extreme-p pins below expect.
+    rng = random.Random(3)
+    for p in (-1.0, 0.5, 1.0, 2.0):
+        A, B = random_ifm(rng, 4), random_ifm(rng, 4)
+        assert delta(compose(A, B, GeneralizedMean(0.6, p)), _decimal_compose(A, B, 0.6, p)) <= 1e-15
+    for p, nu in ((1000.0, 0.2997921278971357), (-400.0, 0.050086718511734796)):
+        assert _decimal_compose(ROW, COLUMN, 0.5, p).nu[0, 0] == nu
+        assert float(_decimal_mean(0.3, 0.05, 0.5, p)) == nu
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: x^p under- or overflows, and the mean reads 0")
+@pytest.mark.parametrize("p", [1000.0, -400.0])
+def test_large_abs_p_matches_decimal_reference(p):
+    op = GeneralizedMean(0.5, p)
+    want = _decimal_compose(ROW, COLUMN, 0.5, p)
+    assert op.mean(0.3, 0.05) == pytest.approx(want.nu[0, 0], abs=1e-12)
+    assert delta(compose(ROW, COLUMN, op), want) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=(ArithmeticError, AssertionError),
+                   reason="ROADMAP item 3: near p = 0 the mean loses about 1e-16/|p|")
+def test_small_abs_p_walk_weights_match_decimal_reference():
+    # path_weight_gen raises ArithmeticError where its closed form and
+    # fold disagree by more than 1e-12: on 120 of these 200 walks today.
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        A = random_ifm(rng, n)
+        verts = [rng.randint(1, n) for _ in range(rng.randint(2, 40) + 1)]
+        lam = rng.choice((0.3, 0.6, 0.9))
+        got = path_weight_gen(A, PathSpec(verts), lam, 1e-6)
+        v = np.array(verts) - 1
+        for component, plane in zip((got.mu, got.nu), (A.mu, A.nu)):
+            edges = plane[v[:-1], v[1:]].tolist()
+            want = edges[0]
+            for e in edges[1:]:
+                want = _decimal_mean(want, e, lam, 1e-6)
+            assert component == pytest.approx(float(want), abs=1e-12)

@@ -20,7 +20,7 @@ from ifmpower import (
     power,
     star_scalar,
 )
-from ifmpower import ifn, matrix, oracle
+from ifmpower import matrix, oracle
 from ifmpower.oracle import random_ifm
 
 A3 = Ifm.from_pairs([
@@ -229,17 +229,17 @@ def test_prefix_enumeration_matches_per_walk_bits():
 @pytest.mark.parametrize("n, m", [(4, 4), (3, 5), (4, 1), (1, 5), (2, 2)])
 def test_each_prefix_is_folded_once(monkeypatch, n, m):
     calls = []
-    make_fold = matrix.gen_mean_fold
+    make_fold = GeneralizedMean.fold
 
-    def counted_fold(lam, p):
-        fold = make_fold(lam, p)
+    def counted_fold(op):
+        fold = make_fold(op)
 
         def counted(*args):
             calls.append(args)
             return fold(*args)
         return counted
 
-    monkeypatch.setattr(matrix, "gen_mean_fold", counted_fold)
+    monkeypatch.setattr(GeneralizedMean, "fold", counted_fold)
     brute_force_power(random_ifm(random.Random(n * m), n), m, GeneralizedMean(0.5, 2.0))
     # One fold per walk prefix of 2..m edges (1,344 at n = m = 4);
     # per-walk folding would make n^(m+1) * (m - 1), which is 3,072.
@@ -250,14 +250,14 @@ def test_out_of_range_fold_is_caught(monkeypatch):
     # The first fold's mu reads 1.5. At lambda = 0 the next fold keeps
     # only its edge, so no finished walk is out of range: the check on
     # every fold is what raises.
-    mean = ifn.gen_mean_scalar
+    mean = GeneralizedMean.mean
     calls = []
 
-    def out_of_range_once(x, y, lam, p):
+    def out_of_range_once(op, x, y):
         calls.append(x)
-        return 1.5 if len(calls) == 1 else mean(x, y, lam, p)
+        return 1.5 if len(calls) == 1 else mean(op, x, y)
 
-    monkeypatch.setattr(ifn, "gen_mean_scalar", out_of_range_once)
+    monkeypatch.setattr(GeneralizedMean, "mean", out_of_range_once)
     with pytest.raises(OutOfRangeError, match=r"components must lie in \[0, 1\], got <1.5, "):
         brute_force_power(A3, 3, GeneralizedMean(0.0, 1.0))
 
